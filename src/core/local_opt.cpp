@@ -178,19 +178,23 @@ LocalResult LocalOptimizer::run(Design& d, const Objective& objective,
     }
 
     std::vector<std::pair<double, std::size_t>> scored(moves.size());
-    if (opts_.batch_scoring) {
-      scores.resize(moves.size());
-      predictor.scoreBatch(moves, scores,
-                           opts_.parallel_trials ? &pool : nullptr);
-      for (std::size_t i = 0; i < moves.size(); ++i)
-        scored[i] = {scores[i], i};
-    } else if (opts_.parallel_trials && moves.size() > 1) {
-      pool.parallelFor(moves.size(), [&](std::size_t i) {
-        scored[i] = {predictor.predictedVariationDelta(moves[i]), i};
-      });
-    } else {
-      for (std::size_t i = 0; i < moves.size(); ++i)
-        scored[i] = {predictor.predictedVariationDelta(moves[i]), i};
+    {
+      obs::Span score_span("local.score");
+      score_span.arg("candidates", static_cast<std::int64_t>(moves.size()));
+      if (opts_.batch_scoring) {
+        scores.resize(moves.size());
+        predictor.scoreBatch(moves, scores,
+                             opts_.parallel_trials ? &pool : nullptr);
+        for (std::size_t i = 0; i < moves.size(); ++i)
+          scored[i] = {scores[i], i};
+      } else if (opts_.parallel_trials && moves.size() > 1) {
+        pool.parallelFor(moves.size(), [&](std::size_t i) {
+          scored[i] = {predictor.predictedVariationDelta(moves[i]), i};
+        });
+      } else {
+        for (std::size_t i = 0; i < moves.size(); ++i)
+          scored[i] = {predictor.predictedVariationDelta(moves[i]), i};
+      }
     }
     std::sort(scored.begin(), scored.end());
 

@@ -1,10 +1,9 @@
 #include "core/predictor.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <set>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "obs/metrics.h"
 #include "rc/rc.h"
@@ -33,6 +32,15 @@ const char* analyticName(std::size_t idx) {
 // MoveAnalyzer
 // ---------------------------------------------------------------------------
 
+namespace {
+double pinCapOf(const Design& d, int id, std::size_t k, int cell_override) {
+  const ClockNode& n = d.tree.node(id);
+  if (n.kind == NodeKind::Sink) return d.tech->sinkCapFf(k);
+  const int cell = (cell_override >= 0) ? cell_override : n.cell;
+  return d.tech->cell(static_cast<std::size_t>(cell)).pin_cap_ff[k];
+}
+}  // namespace
+
 struct MoveAnalyzer::BatchDriverSpec {
   bool is_source = false;
   const tech::Cell* cell = nullptr;  // null iff source
@@ -41,10 +49,28 @@ struct MoveAnalyzer::BatchDriverSpec {
   std::vector<double> in_slew;  // at the driver's input pin, per active corner
 };
 
-struct MoveAnalyzer::BatchChildSpec {
-  int id = -1;
-  geom::Point pos;
-  std::vector<double> cap;  // pin cap per active corner
+/// The child pins of one candidate net. Lane-interleaved pin caps:
+/// cap[child * lanes + ki].
+struct MoveAnalyzer::BatchChildren {
+  std::vector<int> id;
+  std::vector<geom::Point> pos;
+  std::vector<double> cap;
+
+  std::size_t size() const { return id.size(); }
+  bool empty() const { return id.empty(); }
+  void clear() {
+    id.clear();
+    pos.clear();
+    cap.clear();
+  }
+  /// Appends child `c` at `p`; `cell_override` >= 0 sizes its pin cap as
+  /// that cell instead of its own.
+  void add(const Design& d, int c, const geom::Point& p, int cell_override) {
+    id.push_back(c);
+    pos.push_back(p);
+    for (const std::size_t k : d.corners)
+      cap.push_back(pinCapOf(d, c, k, cell_override));
+  }
 };
 
 /// Per-active-corner lanes of one candidate net's estimates. Lane-
@@ -66,6 +92,26 @@ struct MoveAnalyzer::NetEstimatesBatch {
     return in_slew[child * lanes + ki];
   }
 };
+
+/// One thread's analyze() working set. Every member is overwritten before
+/// it is read, so the storage carries nothing from one move (or design) to
+/// the next but its capacity.
+struct MoveAnalyzer::Scratch {
+  BatchDriverSpec drv[3];
+  BatchChildren kids[4];
+  NetEstimatesBatch est[4];
+  std::vector<double> down;  // downstream gate-delay delta per child
+  // estimateNetBatch internals.
+  route::SteinerTree net;
+  rc::RcTreeBatch rct;
+  rc::MomentsBatch mom;
+  std::vector<double> lane, moments_scratch;
+};
+
+MoveAnalyzer::Scratch& MoveAnalyzer::threadScratch() {
+  thread_local Scratch s;
+  return s;
+}
 
 MoveAnalyzer::MoveAnalyzer(const Design& d, const sta::Timer& timer,
                            const std::vector<sta::CornerTiming>* baseline)
@@ -103,25 +149,26 @@ void MoveAnalyzer::refreshSinkCounts() {
   }
 }
 
-MoveAnalyzer::NetEstimatesBatch MoveAnalyzer::estimateNetBatch(
-    const BatchDriverSpec& drv, const std::vector<BatchChildSpec>& children,
-    int route_model) const {
+void MoveAnalyzer::estimateNetBatch(const BatchDriverSpec& drv,
+                                    const BatchChildren& children,
+                                    int route_model, NetEstimatesBatch& est,
+                                    Scratch& s) const {
   const std::size_t nk = design_->corners.size();
 
   // The route depends only on pin positions — one build serves all corners.
-  std::vector<geom::Point> pins;
-  pins.reserve(children.size());
-  for (const BatchChildSpec& c : children) pins.push_back(c.pos);
-  const route::SteinerTree net = (route_model == 0)
-                                     ? route::greedySteiner(drv.pos, pins)
-                                     : route::singleTrunk(drv.pos, pins);
+  route::SteinerTree& net = s.net;
+  if (route_model == 0)
+    route::greedySteinerInto(drv.pos, children.pos, net);
+  else
+    route::singleTrunkInto(drv.pos, children.pos, net);
 
   // Shared-topology RC with one lane per corner; RcTreeBatch::addNode
   // appends sequentially, so rc node n == steiner node n.
-  rc::RcTreeBatch rct(nk);
-  std::vector<double> lane(2 * nk);
-  double* res_l = lane.data();
-  double* cap_l = lane.data() + nk;
+  rc::RcTreeBatch& rct = s.rct;
+  rct.reset(nk);
+  s.lane.resize(2 * nk);
+  double* res_l = s.lane.data();
+  double* cap_l = s.lane.data() + nk;
   for (std::size_t n = 1; n < net.size(); ++n) {
     const double len = net.edgeLength(n);
     for (std::size_t ki = 0; ki < nk; ++ki) {
@@ -138,13 +185,11 @@ MoveAnalyzer::NetEstimatesBatch MoveAnalyzer::estimateNetBatch(
     rct.addCap(rp, cap_l);
   }
   for (std::size_t i = 0; i < children.size(); ++i)
-    rct.addCap(net.pin_node[i], children[i].cap.data());
+    rct.addCap(net.pin_node[i], &children.cap[i * nk]);
 
-  rc::MomentsBatch mom;
-  std::vector<double> scratch;
-  rc::elmoreMomentsBatch(rct, mom, scratch);
+  rc::MomentsBatch& mom = s.mom;
+  rc::elmoreMomentsBatch(rct, mom, s.moments_scratch);
 
-  NetEstimatesBatch est;
   est.lanes = nk;
   est.load.resize(nk);
   rct.totalCapInto(est.load.data());
@@ -177,74 +222,86 @@ MoveAnalyzer::NetEstimatesBatch MoveAnalyzer::estimateNetBatch(
           rc::periSlew(est.out_slew[ki], rc::wireSlewFromElmore(elm));
     }
   }
-  return est;
 }
 
-std::array<double, kNumAnalytic> MoveAnalyzer::downstreamGateDelta(
-    int node, const std::array<double, kNumAnalytic>& in_slew_new,
-    double in_slew_old, std::size_t ki, int depth) const {
-  std::array<double, kNumAnalytic> out{};
+double MoveAnalyzer::downstreamGateDelta(int node, double in_slew_new,
+                                         double in_slew_old, std::size_t ki,
+                                         int depth) const {
   const ClockTree& tree = design_->tree;
   const ClockNode& n = tree.node(node);
-  if (n.kind != NodeKind::Buffer) return out;  // sinks: wire handled upstream
+  if (n.kind != NodeKind::Buffer) return 0.0;  // sinks: wire handled upstream
   const std::size_t k = design_->corners[ki];
   const tech::Cell& cell =
       design_->tech->cell(static_cast<std::size_t>(n.cell));
   const double load = timing_[ki].driver_load[static_cast<std::size_t>(node)];
   const double gate_old = cell.delay[k].lookup(in_slew_old, load);
-  const double oslew_old = cell.out_slew[k].lookup(in_slew_old, load);
-
-  for (std::size_t m = 0; m < kNumAnalytic; ++m)
-    out[m] = cell.delay[k].lookup(in_slew_new[m], load) - gate_old;
+  double out = cell.delay[k].lookup(in_slew_new, load) - gate_old;
 
   if (depth >= 2 || n.children.empty()) return out;
 
   // Propagate the slew change one level down (wire step slews recovered
   // from the golden analysis since the net itself is untouched).
+  const double oslew_old = cell.out_slew[k].lookup(in_slew_old, load);
+  const double os_new = cell.out_slew[k].lookup(in_slew_new, load);
   std::size_t total = 0;
-  std::array<double, kNumAnalytic> child_acc{};
+  double child_acc = 0.0;
   for (const int c : n.children) {
     const double in_old =
         timing_[ki].in_slew[static_cast<std::size_t>(c)];
     const double step2 =
         std::max(0.0, in_old * in_old - oslew_old * oslew_old);
-    std::array<double, kNumAnalytic> in_new{};
-    for (std::size_t m = 0; m < kNumAnalytic; ++m) {
-      const double os_new = cell.out_slew[k].lookup(in_slew_new[m], load);
-      in_new[m] = std::sqrt(step2 + os_new * os_new);
-    }
-    const std::array<double, kNumAnalytic> sub =
-        downstreamGateDelta(c, in_new, in_old, ki, depth + 1);
+    const double in_new = std::sqrt(step2 + os_new * os_new);
+    const double sub = downstreamGateDelta(c, in_new, in_old, ki, depth + 1);
     const std::size_t wgt =
         std::max<std::size_t>(1, subtree_sink_count_[static_cast<std::size_t>(c)]);
-    for (std::size_t m = 0; m < kNumAnalytic; ++m)
-      child_acc[m] += sub[m] * static_cast<double>(wgt);
+    child_acc += sub * static_cast<double>(wgt);
     total += wgt;
   }
-  if (total > 0)
-    for (std::size_t m = 0; m < kNumAnalytic; ++m)
-      out[m] += child_acc[m] / static_cast<double>(total);
+  if (total > 0) out += child_acc / static_cast<double>(total);
   return out;
 }
 
-namespace {
-double pinCapOf(const Design& d, int id, std::size_t k, int cell_override) {
-  const ClockNode& n = d.tree.node(id);
-  if (n.kind == NodeKind::Sink) return d.tech->sinkCapFf(k);
-  const int cell = (cell_override >= 0) ? cell_override : n.cell;
-  return d.tech->cell(static_cast<std::size_t>(cell)).pin_cap_ff[k];
-}
-}  // namespace
-
 std::vector<ImpactGroup> MoveAnalyzer::analyze(const Move& m) const {
+  std::vector<ImpactGroup> groups;
+  groups.resize(analyzeInto(m, groups));
+  return groups;
+}
+
+std::size_t MoveAnalyzer::analyzeInto(const Move& m,
+                                      std::vector<ImpactGroup>& slots) const {
   const Design& d = *design_;
   const ClockTree& tree = d.tree;
   const std::size_t nk = d.corners.size();
-  std::vector<ImpactGroup> groups;
+  Scratch& s = threadScratch();
+  if (slots.size() < 3) slots.resize(3);
+  auto group = [&](std::size_t i, int root, int exclude,
+                   bool primary) -> ImpactGroup& {
+    ImpactGroup& g = slots[i];
+    g.root = root;
+    g.exclude = exclude;
+    g.primary = primary;
+    g.delta.assign(nk, {});
+    return g;
+  };
 
   auto weightOf = [&](int id) {
     return static_cast<double>(std::max<std::size_t>(
         1, subtree_sink_count_[static_cast<std::size_t>(id)]));
+  };
+  // Driver spec of an unchanged node, with its per-corner input slews as
+  // lanes.
+  auto driverOf = [&](BatchDriverSpec& ds, int id) {
+    ds.pos = tree.node(id).pos;
+    ds.is_source = tree.node(id).kind == NodeKind::Source;
+    ds.in_slew.resize(nk);
+    if (ds.is_source) {
+      ds.cell = nullptr;
+      ds.source_slew = timer_->sourceSlew();
+    } else {
+      ds.cell = &d.tech->cell(static_cast<std::size_t>(tree.node(id).cell));
+      for (std::size_t ki = 0; ki < nk; ++ki)
+        ds.in_slew[ki] = timing_[ki].in_slew[static_cast<std::size_t>(id)];
+    }
   };
 
   if (m.type == MoveType::kSizeDisplace ||
@@ -262,88 +319,75 @@ std::vector<ImpactGroup> MoveAnalyzer::analyze(const Move& m) const {
         (child_resized >= 0) ? tree.node(child_resized).cell + m.size_step
                              : -1;
 
-    ImpactGroup primary;
-    primary.root = b;
-    primary.primary = true;
-    primary.delta.assign(nk, {});
-    ImpactGroup sibling;
-    sibling.root = p;
-    sibling.exclude = b;
-    sibling.delta.assign(nk, {});
     const bool has_siblings = tree.node(p).children.size() > 1;
+    ImpactGroup& primary = group(0, b, -1, true);
+    ImpactGroup& sibling = group(1, p, b, false);
 
-    // Driver spec for p, with the per-corner input slews as lanes.
-    BatchDriverSpec pd;
-    pd.pos = tree.node(p).pos;
-    if (tree.node(p).kind == NodeKind::Source) {
-      pd.is_source = true;
-      pd.source_slew = timer_->sourceSlew();
-    } else {
-      pd.cell = &d.tech->cell(static_cast<std::size_t>(tree.node(p).cell));
-      pd.in_slew.resize(nk);
-      for (std::size_t ki = 0; ki < nk; ++ki)
-        pd.in_slew[ki] = timing_[ki].in_slew[static_cast<std::size_t>(p)];
-    }
-    auto capLanes = [&](int id, int cell_override) {
-      std::vector<double> cap(nk);
-      for (std::size_t ki = 0; ki < nk; ++ki)
-        cap[ki] = pinCapOf(d, id, d.corners[ki], cell_override);
-      return cap;
-    };
+    BatchDriverSpec& pd = s.drv[0];
+    driverOf(pd, p);
     // Children of p: old and new (b moved / resized).
-    std::vector<BatchChildSpec> pk_old, pk_new;
+    BatchChildren& pk_old = s.kids[0];
+    BatchChildren& pk_new = s.kids[1];
+    pk_old.clear();
+    pk_new.clear();
     std::size_t b_idx = 0;
     for (std::size_t ci = 0; ci < tree.node(p).children.size(); ++ci) {
       const int c = tree.node(p).children[ci];
-      BatchChildSpec cs;
-      cs.id = c;
-      cs.pos = tree.node(c).pos;
-      cs.cap = capLanes(c, -1);
-      pk_old.push_back(cs);
+      pk_old.add(d, c, tree.node(c).pos, -1);
       if (c == b) {
         b_idx = ci;
-        cs.pos = new_pos;
-        cs.cap = capLanes(c, b_cell_new);
+        pk_new.add(d, c, new_pos, b_cell_new);
+      } else {
+        pk_new.add(d, c, tree.node(c).pos, -1);
       }
-      pk_new.push_back(std::move(cs));
     }
 
     // Children of b: old and new (type II resizes one child's pin).
-    std::vector<BatchChildSpec> bk_old, bk_new;
+    BatchChildren& bk_old = s.kids[2];
+    BatchChildren& bk_new = s.kids[3];
+    bk_old.clear();
+    bk_new.clear();
     for (const int c : tree.node(b).children) {
-      BatchChildSpec cs;
-      cs.id = c;
-      cs.pos = tree.node(c).pos;
-      cs.cap = capLanes(c, -1);
-      bk_old.push_back(cs);
-      if (c == child_resized) cs.cap = capLanes(c, child_cell_new);
-      bk_new.push_back(std::move(cs));
+      bk_old.add(d, c, tree.node(c).pos, -1);
+      bk_new.add(d, c, tree.node(c).pos,
+                 c == child_resized ? child_cell_new : -1);
     }
 
-    const tech::Cell& bcell_old =
-        d.tech->cell(static_cast<std::size_t>(tree.node(b).cell));
-    const tech::Cell& bcell_new =
-        d.tech->cell(static_cast<std::size_t>(b_cell_new));
+    BatchDriverSpec& bd_old = s.drv[1];
+    BatchDriverSpec& bd_new = s.drv[2];
+    bd_old.is_source = false;
+    bd_old.cell = &d.tech->cell(static_cast<std::size_t>(tree.node(b).cell));
+    bd_old.pos = tree.node(b).pos;
+    bd_old.in_slew.resize(nk);
+    bd_new.is_source = false;
+    bd_new.cell = &d.tech->cell(static_cast<std::size_t>(b_cell_new));
+    bd_new.pos = new_pos;
+    bd_new.in_slew.resize(nk);
 
+    NetEstimatesBatch& p_old = s.est[0];
+    NetEstimatesBatch& p_new = s.est[1];
+    NetEstimatesBatch& b_old = s.est[2];
+    NetEstimatesBatch& b_new = s.est[3];
     for (int rm = 0; rm < 2; ++rm) {
-      const NetEstimatesBatch p_old = estimateNetBatch(pd, pk_old, rm);
-      const NetEstimatesBatch p_new = estimateNetBatch(pd, pk_new, rm);
-
-      BatchDriverSpec bd_old, bd_new;
-      bd_old.cell = &bcell_old;
-      bd_old.pos = tree.node(b).pos;
-      bd_old.in_slew.resize(nk);
-      bd_new.cell = &bcell_new;
-      bd_new.pos = new_pos;
-      bd_new.in_slew.resize(nk);
+      estimateNetBatch(pd, pk_old, rm, p_old, s);
+      estimateNetBatch(pd, pk_new, rm, p_new, s);
       for (std::size_t ki = 0; ki < nk; ++ki) {
         bd_old.in_slew[ki] = p_old.childSlew(b_idx, ki);
         bd_new.in_slew[ki] = p_new.childSlew(b_idx, ki);
       }
-      const NetEstimatesBatch b_old = estimateNetBatch(bd_old, bk_old, rm);
-      const NetEstimatesBatch b_new = estimateNetBatch(bd_new, bk_new, rm);
+      estimateNetBatch(bd_old, bk_old, rm, b_old, s);
+      estimateNetBatch(bd_new, bk_new, rm, b_new, s);
 
       for (std::size_t ki = 0; ki < nk; ++ki) {
+        // The downstream gate-delay change depends on the child's slews
+        // only, not on the wire metric.
+        s.down.assign(bk_old.size(), 0.0);
+        for (std::size_t ci = 0; ci < bk_old.size(); ++ci) {
+          const int cid = bk_old.id[ci];
+          if (tree.node(cid).kind == NodeKind::Buffer)
+            s.down[ci] = downstreamGateDelta(cid, b_new.childSlew(ci, ki),
+                                             b_old.childSlew(ci, ki), ki, 1);
+        }
         for (int met = 0; met < 2; ++met) {
           const std::size_t mi = static_cast<std::size_t>(rm * 2 + met);
           const double d_chain =
@@ -355,13 +399,8 @@ std::vector<ImpactGroup> MoveAnalyzer::analyze(const Move& m) const {
           for (std::size_t ci = 0; ci < bk_old.size(); ++ci) {
             double v = d_chain +
                        (b_new.wire(ci, ki, met) - b_old.wire(ci, ki, met));
-            const int cid = bk_old[ci].id;
-            if (tree.node(cid).kind == NodeKind::Buffer) {
-              std::array<double, kNumAnalytic> in_new{};
-              in_new.fill(b_new.childSlew(ci, ki));
-              v += downstreamGateDelta(cid, in_new, b_old.childSlew(ci, ki),
-                                       ki, 1)[mi];
-            }
+            const int cid = bk_old.id[ci];
+            if (tree.node(cid).kind == NodeKind::Buffer) v += s.down[ci];
             const double wgt = weightOf(cid);
             acc += v * wgt;
             wsum += wgt;
@@ -371,11 +410,11 @@ std::vector<ImpactGroup> MoveAnalyzer::analyze(const Move& m) const {
           if (has_siblings) {
             double sacc = 0.0, swsum = 0.0;
             for (std::size_t ci = 0; ci < pk_old.size(); ++ci) {
-              if (pk_old[ci].id == b) continue;
+              if (pk_old.id[ci] == b) continue;
               const double v =
                   (p_new.gate_delay[ki] - p_old.gate_delay[ki]) +
                   (p_new.wire(ci, ki, met) - p_old.wire(ci, ki, met));
-              const double wgt = weightOf(pk_old[ci].id);
+              const double wgt = weightOf(pk_old.id[ci]);
               sacc += v * wgt;
               swsum += wgt;
             }
@@ -384,9 +423,7 @@ std::vector<ImpactGroup> MoveAnalyzer::analyze(const Move& m) const {
         }
       }
     }
-    groups.push_back(std::move(primary));
-    if (has_siblings) groups.push_back(std::move(sibling));
-    return groups;
+    return has_siblings ? 2 : 1;
   }
 
   // ---- Type III: tree surgery -------------------------------------------
@@ -394,73 +431,53 @@ std::vector<ImpactGroup> MoveAnalyzer::analyze(const Move& m) const {
   const int p_old = tree.node(b).parent;
   const int p_new = m.new_parent;
 
-  ImpactGroup moved;
-  moved.root = b;
-  moved.primary = true;
-  moved.delta.assign(nk, {});
-  ImpactGroup old_grp;
-  old_grp.root = p_old;
-  old_grp.exclude = b;
-  old_grp.delta.assign(nk, {});
-  ImpactGroup new_grp;
-  new_grp.root = p_new;
-  new_grp.delta.assign(nk, {});
+  ImpactGroup& moved = group(0, b, -1, true);
+  ImpactGroup& old_grp = group(1, p_old, b, false);
+  ImpactGroup& new_grp = group(2, p_new, -1, false);
 
-  auto driverSpec = [&](int id) {
-    BatchDriverSpec ds;
-    ds.pos = tree.node(id).pos;
-    if (tree.node(id).kind == NodeKind::Source) {
-      ds.is_source = true;
-      ds.source_slew = timer_->sourceSlew();
-    } else {
-      ds.cell = &d.tech->cell(static_cast<std::size_t>(tree.node(id).cell));
-      ds.in_slew.resize(nk);
-      for (std::size_t ki = 0; ki < nk; ++ki)
-        ds.in_slew[ki] = timing_[ki].in_slew[static_cast<std::size_t>(id)];
-    }
-    return ds;
-  };
-  auto capLanes = [&](int id) {
-    std::vector<double> cap(nk);
-    for (std::size_t ki = 0; ki < nk; ++ki)
-      cap[ki] = pinCapOf(d, id, d.corners[ki], -1);
-    return cap;
-  };
-  auto childSpecs = [&](int driver, int skip, int extra) {
-    std::vector<BatchChildSpec> cs;
+  BatchDriverSpec& po_d = s.drv[0];
+  BatchDriverSpec& pn_d = s.drv[1];
+  driverOf(po_d, p_old);
+  driverOf(pn_d, p_new);
+  auto childSpecs = [&](BatchChildren& cs, int driver, int skip, int extra) {
+    cs.clear();
     for (const int c : tree.node(driver).children) {
       if (c == skip) continue;
-      cs.push_back({c, tree.node(c).pos, capLanes(c)});
+      cs.add(d, c, tree.node(c).pos, -1);
     }
-    if (extra >= 0)
-      cs.push_back({extra, tree.node(extra).pos, capLanes(extra)});
-    return cs;
+    if (extra >= 0) cs.add(d, extra, tree.node(extra).pos, -1);
   };
+  BatchChildren& po_before = s.kids[0];
+  BatchChildren& po_after = s.kids[1];
+  BatchChildren& pn_before = s.kids[2];
+  BatchChildren& pn_after = s.kids[3];
+  childSpecs(po_before, p_old, -1, -1);
+  childSpecs(po_after, p_old, b, -1);
+  childSpecs(pn_before, p_new, -1, -1);
+  childSpecs(pn_after, p_new, -1, b);
 
-  const BatchDriverSpec po_d = driverSpec(p_old);
-  const BatchDriverSpec pn_d = driverSpec(p_new);
-  const std::vector<BatchChildSpec> po_before = childSpecs(p_old, -1, -1);
-  const std::vector<BatchChildSpec> po_after = childSpecs(p_old, b, -1);
-  const std::vector<BatchChildSpec> pn_before = childSpecs(p_new, -1, -1);
-  const std::vector<BatchChildSpec> pn_after = childSpecs(p_new, -1, b);
+  // Index of b in the before/after child lists; po_after is po_before
+  // without b, so its child ci sits at ci (+1 past b) in po_before.
+  std::size_t b_old_idx = 0;
+  for (std::size_t ci = 0; ci < po_before.size(); ++ci)
+    if (po_before.id[ci] == b) b_old_idx = ci;
+  const std::size_t b_new_idx = pn_after.size() - 1;
 
+  NetEstimatesBatch& po_o = s.est[0];
+  NetEstimatesBatch& po_n = s.est[1];
+  NetEstimatesBatch& pn_o = s.est[2];
+  NetEstimatesBatch& pn_n = s.est[3];
   for (int rm = 0; rm < 2; ++rm) {
-    const NetEstimatesBatch po_o = estimateNetBatch(po_d, po_before, rm);
-    const NetEstimatesBatch po_n = po_after.empty()
-                                       ? NetEstimatesBatch{}
-                                       : estimateNetBatch(po_d, po_after, rm);
-    const NetEstimatesBatch pn_o = pn_before.empty()
-                                       ? NetEstimatesBatch{}
-                                       : estimateNetBatch(pn_d, pn_before, rm);
-    const NetEstimatesBatch pn_n = estimateNetBatch(pn_d, pn_after, rm);
-
-    // Index of b in the before/after child lists.
-    std::size_t b_old_idx = 0;
-    for (std::size_t ci = 0; ci < po_before.size(); ++ci)
-      if (po_before[ci].id == b) b_old_idx = ci;
-    const std::size_t b_new_idx = pn_after.size() - 1;
+    // po_n / pn_o are read only through their (then empty) child lists.
+    estimateNetBatch(po_d, po_before, rm, po_o, s);
+    if (!po_after.empty()) estimateNetBatch(po_d, po_after, rm, po_n, s);
+    if (!pn_before.empty()) estimateNetBatch(pn_d, pn_before, rm, pn_o, s);
+    estimateNetBatch(pn_d, pn_after, rm, pn_n, s);
 
     for (std::size_t ki = 0; ki < nk; ++ki) {
+      const double down_b =
+          downstreamGateDelta(b, pn_n.childSlew(b_new_idx, ki),
+                              po_o.childSlew(b_old_idx, ki), ki, 0);
       for (int met = 0; met < 2; ++met) {
         const std::size_t mi = static_cast<std::size_t>(rm * 2 + met);
         const double in_old =
@@ -472,25 +489,16 @@ std::vector<ImpactGroup> MoveAnalyzer::analyze(const Move& m) const {
         const double path_new =
             in_new + pn_n.gate_delay[ki] + pn_n.wire(b_new_idx, ki, met);
         double delta_b = path_new - path_old;
-        {
-          std::array<double, kNumAnalytic> in_slew_new{};
-          in_slew_new.fill(pn_n.childSlew(b_new_idx, ki));
-          delta_b += downstreamGateDelta(b, in_slew_new,
-                                         po_o.childSlew(b_old_idx, ki), ki,
-                                         0)[mi];
-        }
+        delta_b += down_b;
         moved.delta[ki][mi] = delta_b;
 
         // Remaining children of the old driver speed up.
         double acc = 0.0, wsum = 0.0;
         for (std::size_t ci = 0; ci < po_after.size(); ++ci) {
-          // Locate this child in the before list.
-          std::size_t bi = 0;
-          for (std::size_t cj = 0; cj < po_before.size(); ++cj)
-            if (po_before[cj].id == po_after[ci].id) bi = cj;
+          const std::size_t bi = ci < b_old_idx ? ci : ci + 1;
           const double v = (po_n.gate_delay[ki] - po_o.gate_delay[ki]) +
                            (po_n.wire(ci, ki, met) - po_o.wire(bi, ki, met));
-          const double wgt = weightOf(po_after[ci].id);
+          const double wgt = weightOf(po_after.id[ci]);
           acc += v * wgt;
           wsum += wgt;
         }
@@ -502,7 +510,7 @@ std::vector<ImpactGroup> MoveAnalyzer::analyze(const Move& m) const {
         for (std::size_t ci = 0; ci < pn_before.size(); ++ci) {
           const double v = (pn_n.gate_delay[ki] - pn_o.gate_delay[ki]) +
                            (pn_n.wire(ci, ki, met) - pn_o.wire(ci, ki, met));
-          const double wgt = weightOf(pn_before[ci].id);
+          const double wgt = weightOf(pn_before.id[ci]);
           acc += v * wgt;
           wsum += wgt;
         }
@@ -510,10 +518,7 @@ std::vector<ImpactGroup> MoveAnalyzer::analyze(const Move& m) const {
       }
     }
   }
-  groups.push_back(std::move(moved));
-  groups.push_back(std::move(old_grp));
-  groups.push_back(std::move(new_grp));
-  return groups;
+  return 3;
 }
 
 std::array<double, kNumFeatures> MoveAnalyzer::features(
@@ -725,7 +730,8 @@ double DeltaLatencyModel::predict(
   const PerCorner& pc = per_corner_[corner];
   if (pc.model == nullptr)
     throw std::logic_error("DeltaLatencyModel: corner not trained");
-  const std::vector<double> scaled = pc.scaler.transformRow(feat.data());
+  std::array<double, kNumFeatures> scaled;
+  pc.scaler.transformRow(feat.data(), scaled.data());
   const double residual = std::clamp(pc.model->predict(scaled.data()),
                                      pc.residual_lo, pc.residual_hi);
   return feat[0] + residual;
@@ -739,6 +745,39 @@ const DeltaLatencyModel::Holdout& DeltaLatencyModel::holdout(
 // ---------------------------------------------------------------------------
 // MovePredictor
 // ---------------------------------------------------------------------------
+
+/// One thread's scoring working set: the analyzer's impact groups and the
+/// dense variation bookkeeping. A sink slot's delta is valid only while its
+/// stamp equals `epoch`, so bumping the epoch per move clears every slot in
+/// O(1), whatever design the storage last served. The affected-pair bitmap
+/// is cleared per move (one bit per pair) and read back in ascending pair
+/// index without a sort.
+struct MovePredictor::Scratch {
+  std::vector<ImpactGroup> groups;
+  std::uint32_t epoch = 0;
+  std::vector<std::uint32_t> sink_stamp;  // [slot]
+  std::vector<double> sink_delta;         // [slot * corners + ki]
+  std::vector<std::uint64_t> pair_bits;   // affected pairs, one bit each
+  std::vector<double> dval, skew;         // [ki]
+
+  /// Sizes the storage for a design and starts a move's fresh epoch.
+  void startMove(std::size_t slots, std::size_t npairs, std::size_t nk) {
+    if (sink_stamp.size() < slots) sink_stamp.resize(slots, 0);
+    if (sink_delta.size() < slots * nk) sink_delta.resize(slots * nk);
+    pair_bits.assign((npairs + 63) / 64, 0);
+    if (++epoch == 0) {  // wrapped: no stamp may alias the new epoch
+      std::fill(sink_stamp.begin(), sink_stamp.end(), 0);
+      epoch = 1;
+    }
+    dval.resize(nk);
+    skew.resize(nk);
+  }
+};
+
+MovePredictor::Scratch& MovePredictor::threadScratch() {
+  thread_local Scratch s;
+  return s;
+}
 
 MovePredictor::MovePredictor(const Design& d, const sta::Timer& timer,
                              const Objective& objective,
@@ -761,14 +800,77 @@ void MovePredictor::refresh(const std::vector<sta::CornerTiming>& baseline) {
 }
 
 void MovePredictor::rebuildBase() {
-  base_report_ = objective_->evaluateFromTimings(*design_, analyzer_.baseline());
-  pairs_of_sink_.assign(design_->tree.numNodes(), {});
-  for (std::size_t pi = 0; pi < design_->pairs.size(); ++pi) {
-    pairs_of_sink_[static_cast<std::size_t>(design_->pairs[pi].launch)]
-        .push_back(pi);
-    pairs_of_sink_[static_cast<std::size_t>(design_->pairs[pi].capture)]
-        .push_back(pi);
+  const ClockTree& tree = design_->tree;
+  const std::size_t nk = design_->corners.size();
+  const std::size_t npairs = design_->pairs.size();
+  VariationReport base =
+      objective_->evaluateFromTimings(*design_, analyzer_.baseline());
+
+  // Depth-first preorder from the root: a sink's slot is its rank among
+  // the sinks in that order, and every subtree's sinks are contiguous.
+  std::vector<std::uint32_t> slot_of(tree.numNodes(), kNoSlot);
+  std::vector<int> preorder, stack{tree.root()};
+  sink_begin_.assign(tree.numNodes(), 0);
+  sink_end_.assign(tree.numNodes(), 0);
+  std::uint32_t next_slot = 0;
+  while (!stack.empty()) {
+    const int v = stack.back();
+    stack.pop_back();
+    preorder.push_back(v);
+    const ClockNode& n = tree.node(v);
+    sink_begin_[static_cast<std::size_t>(v)] = next_slot;
+    if (n.kind == NodeKind::Sink) {
+      slot_of[static_cast<std::size_t>(v)] = next_slot++;
+      continue;
+    }
+    for (auto c = n.children.rbegin(); c != n.children.rend(); ++c)
+      stack.push_back(*c);
   }
+  num_sink_slots_ = next_slot;
+  // Reverse preorder visits children before parents: a subtree's range
+  // ends where its last child's ends.
+  for (auto v = preorder.rbegin(); v != preorder.rend(); ++v) {
+    const std::size_t i = static_cast<std::size_t>(*v);
+    const ClockNode& n = tree.node(*v);
+    sink_end_[i] = n.kind == NodeKind::Sink ? sink_begin_[i] + 1
+                   : n.children.empty()
+                       ? sink_begin_[i]
+                       : sink_end_[static_cast<std::size_t>(n.children.back())];
+  }
+
+  // Pairs touching each slot (CSR, ascending pair index), and each pair's
+  // endpoint slots.
+  pair_launch_slot_.assign(npairs, kNoSlot);
+  pair_capture_slot_.assign(npairs, kNoSlot);
+  slot_pairs_begin_.assign(num_sink_slots_ + 1, 0);
+  auto slotOf = [&](int sink) {
+    return sink >= 0 && static_cast<std::size_t>(sink) < slot_of.size()
+               ? slot_of[static_cast<std::size_t>(sink)]
+               : kNoSlot;
+  };
+  auto endpoints = [&](std::size_t pi) {
+    return std::array{pair_launch_slot_[pi], pair_capture_slot_[pi]};
+  };
+  for (std::size_t pi = 0; pi < npairs; ++pi) {
+    pair_launch_slot_[pi] = slotOf(design_->pairs[pi].launch);
+    pair_capture_slot_[pi] = slotOf(design_->pairs[pi].capture);
+    for (const std::uint32_t s : endpoints(pi))
+      if (s != kNoSlot) ++slot_pairs_begin_[s + 1];
+  }
+  for (std::size_t s = 0; s < num_sink_slots_; ++s)
+    slot_pairs_begin_[s + 1] += slot_pairs_begin_[s];
+  slot_pairs_.assign(slot_pairs_begin_.back(), 0);
+  std::vector<std::uint32_t> fill(slot_pairs_begin_.begin(),
+                                  slot_pairs_begin_.end() - 1);
+  for (std::size_t pi = 0; pi < npairs; ++pi)
+    for (const std::uint32_t s : endpoints(pi))
+      if (s != kNoSlot) slot_pairs_[fill[s]++] = static_cast<std::uint32_t>(pi);
+
+  base_skew_.resize(npairs * nk);
+  for (std::size_t pi = 0; pi < npairs; ++pi)
+    for (std::size_t ki = 0; ki < nk; ++ki)
+      base_skew_[pi * nk + ki] = base.skew_ps[ki][pi];
+  base_v_pair_ = std::move(base.v_pair_ps);
 }
 
 std::vector<double> MovePredictor::predictedPrimaryDelta(
@@ -791,65 +893,88 @@ std::vector<double> MovePredictor::predictedPrimaryDelta(
 }
 
 double MovePredictor::variationDeltaFromGroups(
-    const std::vector<ImpactGroup>& groups, const Move& m) const {
+    std::span<const ImpactGroup> groups, const Move& m, Scratch& s) const {
   const std::size_t nk = design_->corners.size();
+  s.startMove(num_sink_slots_, design_->pairs.size(), nk);
+  const std::uint32_t epoch = s.epoch;
 
-  // Per-sink latency delta at each corner.
-  std::unordered_map<int, std::vector<double>> delta_of;
-  std::set<std::size_t> affected_pairs;
+  // Per-sink latency delta at each corner, accumulated in group order from
+  // 0.0; every pair touching a shifted sink is marked affected.
+  auto shift = [&](std::uint32_t lo, std::uint32_t hi) {
+    for (std::uint32_t slot = lo; slot < hi; ++slot) {
+      double* acc = &s.sink_delta[std::size_t{slot} * nk];
+      if (s.sink_stamp[slot] != epoch) {
+        s.sink_stamp[slot] = epoch;
+        for (std::size_t ki = 0; ki < nk; ++ki) acc[ki] = 0.0;
+      }
+      for (std::size_t ki = 0; ki < nk; ++ki) acc[ki] += s.dval[ki];
+      for (std::uint32_t j = slot_pairs_begin_[slot];
+           j < slot_pairs_begin_[slot + 1]; ++j) {
+        const std::uint32_t pi = slot_pairs_[j];
+        s.pair_bits[pi >> 6] |= std::uint64_t{1} << (pi & 63);
+      }
+    }
+  };
   for (const ImpactGroup& g : groups) {
-    std::vector<int> sinks = subtreeSinks(design_->tree, g.root);
-    std::vector<int> excl;
-    if (g.exclude >= 0) excl = subtreeSinks(design_->tree, g.exclude);
-    std::set<int> excl_set(excl.begin(), excl.end());
-
-    std::vector<double> dval(nk);
     for (std::size_t ki = 0; ki < nk; ++ki) {
       const std::size_t k = design_->corners[ki];
       if (g.primary && model_ != nullptr && model_->trainedFor(k))
-        dval[ki] = model_->predict(k, analyzer_.features(m, g, ki));
+        s.dval[ki] = model_->predict(k, analyzer_.features(m, g, ki));
       else
-        dval[ki] = g.delta[ki][fallback_];
+        s.dval[ki] = g.delta[ki][fallback_];
     }
-    for (const int s : sinks) {
-      if (excl_set.count(s)) continue;
-      std::vector<double>& acc =
-          delta_of.try_emplace(s, std::vector<double>(nk, 0.0)).first->second;
-      for (std::size_t ki = 0; ki < nk; ++ki) acc[ki] += dval[ki];
-      for (const std::size_t pi : pairs_of_sink_[static_cast<std::size_t>(s)])
-        affected_pairs.insert(pi);
+    // The group's sinks: the root's slot range minus the excluded node's.
+    const std::uint32_t lo = sink_begin_[static_cast<std::size_t>(g.root)];
+    const std::uint32_t hi = sink_end_[static_cast<std::size_t>(g.root)];
+    std::uint32_t cut_lo = hi, cut_hi = hi;
+    if (g.exclude >= 0) {
+      cut_lo = std::max(lo, sink_begin_[static_cast<std::size_t>(g.exclude)]);
+      cut_hi = std::min(hi, sink_end_[static_cast<std::size_t>(g.exclude)]);
+      if (cut_lo >= cut_hi) cut_lo = cut_hi = hi;
     }
+    shift(lo, cut_lo);
+    shift(cut_hi, hi);
   }
 
+  // Sum over the affected pairs in ascending pair index.
   double delta_sum = 0.0;
-  std::vector<double> skew(nk);
-  for (const std::size_t pi : affected_pairs) {
-    const network::SinkPair& p = design_->pairs[pi];
-    const auto itl = delta_of.find(p.launch);
-    const auto itc = delta_of.find(p.capture);
-    for (std::size_t ki = 0; ki < nk; ++ki) {
-      double s = base_report_.skew_ps[ki][pi];
-      if (itl != delta_of.end()) s += itl->second[ki];
-      if (itc != delta_of.end()) s -= itc->second[ki];
-      skew[ki] = s;
+  for (std::size_t w = 0; w < s.pair_bits.size(); ++w) {
+    for (std::uint64_t bits = s.pair_bits[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t pi =
+          w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      const std::uint32_t ls = pair_launch_slot_[pi];
+      const std::uint32_t cs = pair_capture_slot_[pi];
+      const bool l_moved = ls != kNoSlot && s.sink_stamp[ls] == epoch;
+      const bool c_moved = cs != kNoSlot && s.sink_stamp[cs] == epoch;
+      for (std::size_t ki = 0; ki < nk; ++ki) {
+        double v = base_skew_[pi * nk + ki];
+        if (l_moved) v += s.sink_delta[std::size_t{ls} * nk + ki];
+        if (c_moved) v -= s.sink_delta[std::size_t{cs} * nk + ki];
+        s.skew[ki] = v;
+      }
+      delta_sum += objective_->pairV(s.skew) - base_v_pair_[pi];
     }
-    delta_sum += objective_->pairV(skew) - base_report_.v_pair_ps[pi];
   }
   return delta_sum;
 }
 
 double MovePredictor::predictedVariationDelta(const Move& m) const {
-  return variationDeltaFromGroups(analyzer_.analyze(m), m);
+  Scratch& s = threadScratch();
+  const std::size_t n = analyzer_.analyzeInto(m, s.groups);
+  return variationDeltaFromGroups(
+      std::span<const ImpactGroup>(s.groups.data(), n), m, s);
 }
 
 void MovePredictor::scoreBatch(std::span<const Move> moves,
                                std::span<double> out,
                                support::ThreadPool* pool) const {
   // Driven only by the candidate count — deterministic for a given
-  // optimization, so serial and parallel snapshots stay identical.
+  // optimization, so serial and parallel snapshots stay identical. A round
+  // scores 10^4-10^5 candidates, hence bounds up to 2^16.
   static obs::Histogram& sizes = obs::MetricsRegistry::global().histogram(
       "skewopt_local_score_batch_size",
-      {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0},
+      {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0,
+       2048.0, 4096.0, 8192.0, 16384.0, 32768.0, 65536.0},
       "Candidate moves scored per MovePredictor::scoreBatch call");
   sizes.observe(static_cast<double>(moves.size()));
   if (pool != nullptr && moves.size() > 1) {

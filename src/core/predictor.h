@@ -17,6 +17,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -73,6 +74,12 @@ class MoveAnalyzer {
   /// Affected sink groups and their analytical delta estimates.
   std::vector<ImpactGroup> analyze(const Move& m) const;
 
+  /// analyze() into caller-owned storage: fills the first n slots of
+  /// `slots` and returns n. `slots` is grown as needed and never shrunk,
+  /// so a reused vector makes the call allocation-free once warm. Uses
+  /// per-thread scratch; safe to call concurrently from different threads.
+  std::size_t analyzeInto(const Move& m, std::vector<ImpactGroup>& slots) const;
+
   /// The kNumFeatures model inputs of a move at active-corner index ki
   /// (requires the groups from analyze(), to reuse the primary estimates).
   std::array<double, kNumFeatures> features(const Move& m,
@@ -92,14 +99,17 @@ class MoveAnalyzer {
   // once per corner. Each lane is bit-identical to the former per-corner
   // scalar estimate.
   struct BatchDriverSpec;
-  struct BatchChildSpec;
+  struct BatchChildren;
   struct NetEstimatesBatch;
-  NetEstimatesBatch estimateNetBatch(
-      const BatchDriverSpec& drv, const std::vector<BatchChildSpec>& children,
-      int route_model) const;
-  std::array<double, kNumAnalytic> downstreamGateDelta(
-      int node, const std::array<double, kNumAnalytic>& in_slew_new,
-      double in_slew_old, std::size_t ki, int depth) const;
+  struct Scratch;
+  static Scratch& threadScratch();
+  void estimateNetBatch(const BatchDriverSpec& drv,
+                        const BatchChildren& children, int route_model,
+                        NetEstimatesBatch& est, Scratch& s) const;
+  // Gate-delay change one and two stages below `node` when its input slew
+  // moves from `in_slew_old` to `in_slew_new` (one lookup per node).
+  double downstreamGateDelta(int node, double in_slew_new, double in_slew_old,
+                             std::size_t ki, int depth) const;
 
   const network::Design* design_;
   const sta::Timer* timer_;
@@ -200,18 +210,21 @@ class MovePredictor {
 
   /// Scores a whole round's candidate table in one call:
   /// out[i] = predictedVariationDelta(moves[i]). With a pool the moves are
-  /// scored on its threads (scoring is const and shares no mutable state);
-  /// results are identical either way. `out` must have `moves.size()`
-  /// slots. Also feeds the skewopt_local_score_batch_size histogram.
+  /// scored on its threads (scoring is const; each thread works in its own
+  /// reused scratch); results are identical either way. `out` must have
+  /// `moves.size()` slots. Also feeds the skewopt_local_score_batch_size
+  /// histogram.
   void scoreBatch(std::span<const Move> moves, std::span<double> out,
                   support::ThreadPool* pool = nullptr) const;
 
   const MoveAnalyzer& analyzer() const { return analyzer_; }
 
  private:
+  struct Scratch;
+  static Scratch& threadScratch();
   void rebuildBase();
-  double variationDeltaFromGroups(const std::vector<ImpactGroup>& groups,
-                                  const Move& m) const;
+  double variationDeltaFromGroups(std::span<const ImpactGroup> groups,
+                                  const Move& m, Scratch& s) const;
 
   const network::Design* design_;
   const sta::Timer* timer_;
@@ -219,8 +232,18 @@ class MovePredictor {
   const DeltaLatencyModel* model_;
   std::size_t fallback_;
   MoveAnalyzer analyzer_;
-  VariationReport base_report_;
-  std::vector<std::vector<std::size_t>> pairs_of_sink_;  // sink id -> pair idx
+
+  // The baseline, rebuilt by rebuildBase(). Sinks are numbered in a
+  // depth-first order of the tree ("slots"), so the sinks under any node
+  // are the contiguous slot range [sink_begin_[node], sink_end_[node]).
+  std::vector<std::uint32_t> sink_begin_, sink_end_;  // by node id
+  std::size_t num_sink_slots_ = 0;
+  std::vector<std::uint32_t> slot_pairs_begin_;  // CSR: the pairs touching
+  std::vector<std::uint32_t> slot_pairs_;        // each sink slot
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  std::vector<std::uint32_t> pair_launch_slot_, pair_capture_slot_;
+  std::vector<double> base_skew_;    // [pair * corners + ki]
+  std::vector<double> base_v_pair_;  // [pair]
 };
 
 }  // namespace skewopt::core

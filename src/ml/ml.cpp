@@ -30,17 +30,13 @@ void StandardScaler::fit(const Matrix& x) {
 
 Matrix StandardScaler::transform(const Matrix& x) const {
   Matrix out(x.rows(), x.cols());
-  for (std::size_t i = 0; i < x.rows(); ++i)
-    for (std::size_t j = 0; j < x.cols(); ++j)
-      out.at(i, j) = (x.at(i, j) - mean_[j]) / scale_[j];
+  for (std::size_t i = 0; i < x.rows(); ++i) transformRow(x.row(i), out.row(i));
   return out;
 }
 
-std::vector<double> StandardScaler::transformRow(const double* row) const {
-  std::vector<double> out(mean_.size());
+void StandardScaler::transformRow(const double* row, double* out) const {
   for (std::size_t j = 0; j < mean_.size(); ++j)
     out[j] = (row[j] - mean_[j]) / scale_[j];
-  return out;
 }
 
 std::vector<double> Regressor::predictAll(const Matrix& x) const {

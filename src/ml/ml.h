@@ -58,7 +58,8 @@ class StandardScaler {
  public:
   void fit(const Matrix& x);
   Matrix transform(const Matrix& x) const;
-  std::vector<double> transformRow(const double* row) const;
+  /// Scales one row into `out` (mean().size() values).
+  void transformRow(const double* row, double* out) const;
   const std::vector<double>& mean() const { return mean_; }
   const std::vector<double>& scale() const { return scale_; }
 

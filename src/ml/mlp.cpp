@@ -16,21 +16,21 @@ double tanhGrad(double a) { return 1.0 - a * a; }  // in terms of activation
 void MlpRegressor::forward(const double* row,
                            std::vector<std::vector<double>>* acts) const {
   // acts[0] is the input; acts[l+1] the activation of layer l. The last
-  // layer is linear.
-  std::vector<double> cur(row, row + layers_.front().in);
-  acts->clear();
-  acts->push_back(cur);
+  // layer is linear. A reused `acts` keeps its storage, so the pass
+  // allocates nothing once warm.
+  acts->resize(layers_.size() + 1);
+  (*acts)[0].assign(row, row + layers_.front().in);
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     const Layer& L = layers_[l];
-    std::vector<double> next(L.out);
+    const std::vector<double>& cur = (*acts)[l];
+    std::vector<double>& next = (*acts)[l + 1];
+    next.resize(L.out);
     for (std::size_t o = 0; o < L.out; ++o) {
       double v = L.b[o];
       const double* w = &L.w[o * L.in];
       for (std::size_t i = 0; i < L.in; ++i) v += w[i] * cur[i];
       next[o] = (l + 1 == layers_.size()) ? v : tanhAct(v);
     }
-    acts->push_back(next);
-    cur = acts->back();
   }
 }
 
@@ -176,7 +176,7 @@ void MlpRegressor::fit(const Dataset& all) {
 
 double MlpRegressor::predict(const double* row) const {
   if (layers_.empty()) return y_mean_;
-  std::vector<std::vector<double>> acts;
+  thread_local std::vector<std::vector<double>> acts;
   forward(row, &acts);
   return acts.back()[0] * y_scale_ + y_mean_;
 }

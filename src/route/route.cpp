@@ -105,17 +105,24 @@ std::size_t connect(SteinerTree& tree, const Point& t, const Attach& at) {
   return addTreeNode(tree, t, static_cast<int>(anchor));
 }
 
-SteinerTree greedySteinerOrdered(const Point& driver,
-                                 const std::vector<Point>& pins,
-                                 const std::vector<std::size_t>& order) {
-  SteinerTree tree;
+// Empties `tree` (keeping its storage) down to the driver node, with
+// `pins` pin slots.
+void resetTree(SteinerTree& tree, const Point& driver, std::size_t pins) {
+  tree.nodes.clear();
+  tree.parent.clear();
+  tree.extra.clear();
   addTreeNode(tree, driver, -1);
-  tree.pin_node.assign(pins.size(), 0);
+  tree.pin_node.assign(pins, 0);
+}
+
+void greedySteinerOrdered(const Point& driver, const std::vector<Point>& pins,
+                          const std::vector<std::size_t>& order,
+                          SteinerTree& tree) {
+  resetTree(tree, driver, pins.size());
   for (const std::size_t i : order) {
     const Attach at = findAttach(tree, pins[i]);
     tree.pin_node[i] = connect(tree, pins[i], at);
   }
-  return tree;
 }
 
 std::uint64_t mix(std::uint64_t z) {
@@ -134,26 +141,45 @@ std::uint64_t hashPoint(const Point& p, std::uint64_t h) {
 }  // namespace
 
 SteinerTree greedySteiner(const Point& driver, const std::vector<Point>& pins) {
+  SteinerTree tree;
+  greedySteinerInto(driver, pins, tree);
+  return tree;
+}
+
+void greedySteinerInto(const Point& driver, const std::vector<Point>& pins,
+                       SteinerTree& out) {
   // Nearest-unrouted-first insertion order (recomputed against the driver
   // only, which keeps the heuristic deterministic and cheap).
-  std::vector<std::size_t> order(pins.size());
+  thread_local std::vector<std::size_t> order;
+  order.resize(pins.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     const double da = geom::manhattan(driver, pins[a]);
     const double db = geom::manhattan(driver, pins[b]);
     return da != db ? da < db : a < b;
   });
-  return greedySteinerOrdered(driver, pins, order);
+  greedySteinerOrdered(driver, pins, order, out);
 }
 
 SteinerTree singleTrunk(const Point& driver, const std::vector<Point>& pins) {
   SteinerTree tree;
-  addTreeNode(tree, driver, -1);
-  tree.pin_node.assign(pins.size(), 0);
-  if (pins.empty()) return tree;
+  singleTrunkInto(driver, pins, tree);
+  return tree;
+}
 
-  std::vector<double> xs;
-  xs.reserve(pins.size() + 1);
+void singleTrunkInto(const Point& driver, const std::vector<Point>& pins,
+                     SteinerTree& tree) {
+  resetTree(tree, driver, pins.size());
+  if (pins.empty()) return;
+
+  struct Tap {
+    double y;
+    int pin;  // -1 for the driver tap
+  };
+  thread_local std::vector<double> xs, trunk_y;
+  thread_local std::vector<Tap> taps;
+  thread_local std::vector<std::size_t> trunk_node, pin_tap;
+  xs.clear();
   for (const Point& p : pins) xs.push_back(p.x);
   xs.push_back(driver.x);
   std::nth_element(xs.begin(), xs.begin() + xs.size() / 2, xs.end());
@@ -161,11 +187,7 @@ SteinerTree singleTrunk(const Point& driver, const std::vector<Point>& pins) {
 
   // Trunk attachment y-coordinates, sorted; the driver's attachment anchors
   // the trunk, and trunk segments chain away from it in both directions.
-  struct Tap {
-    double y;
-    int pin;  // -1 for the driver tap
-  };
-  std::vector<Tap> taps;
+  taps.clear();
   taps.push_back({driver.y, -1});
   for (std::size_t i = 0; i < pins.size(); ++i)
     taps.push_back({pins[i].y, static_cast<int>(i)});
@@ -174,10 +196,10 @@ SteinerTree singleTrunk(const Point& driver, const std::vector<Point>& pins) {
   });
 
   // Create trunk nodes (deduplicated by y) in sorted order.
-  std::vector<std::size_t> trunk_node;
-  std::vector<double> trunk_y;
+  trunk_node.clear();
+  trunk_y.clear();
   std::size_t driver_tap = 0;
-  std::vector<std::size_t> pin_tap(pins.size());
+  pin_tap.resize(pins.size());
   for (const Tap& t : taps) {
     if (trunk_y.empty() || trunk_y.back() != t.y) {
       trunk_y.push_back(t.y);
@@ -206,7 +228,6 @@ SteinerTree singleTrunk(const Point& driver, const std::vector<Point>& pins) {
           tree, pins[i], static_cast<int>(trunk_node[pin_tap[i]]));
     }
   }
-  return tree;
 }
 
 SteinerTree ecoRoute(const Point& driver, const std::vector<Point>& pins,
@@ -228,7 +249,8 @@ SteinerTree ecoRoute(const Point& driver, const std::vector<Point>& pins,
     return da != db ? da < db : a < b;
   });
 
-  SteinerTree tree = greedySteinerOrdered(driver, pins, order);
+  SteinerTree tree;
+  greedySteinerOrdered(driver, pins, order, tree);
   if (jog_factor <= 0.0) return tree;  // jog_factor 0: ideal router
   // Detours have a *systematic* congestion-like component that grows with
   // the net's pin count (real routers detour more in denser nets) plus a

@@ -63,6 +63,13 @@ SteinerTree greedySteiner(const geom::Point& driver,
 SteinerTree singleTrunk(const geom::Point& driver,
                         const std::vector<geom::Point>& pins);
 
+/// greedySteiner() / singleTrunk() written into `out`, reusing its storage
+/// and per-thread working space: a warm call allocates nothing.
+void greedySteinerInto(const geom::Point& driver,
+                       const std::vector<geom::Point>& pins, SteinerTree& out);
+void singleTrunkInto(const geom::Point& driver,
+                     const std::vector<geom::Point>& pins, SteinerTree& out);
+
 /// Golden ECO route: greedy Steiner with deterministic pseudo-random jogs
 /// (up to `jog_factor` fractional extra length per edge) derived from the
 /// pin coordinates, standing in for real-router detours. The same placement

@@ -94,15 +94,18 @@ TEST(CliObsTest, OptimizeTraceContainsFlowAndPerUSpans) {
   std::size_t flow_runs = 0;
   std::size_t u_points = 0;
   std::size_t local_rounds = 0;
+  std::size_t local_scores = 0;
   for (std::size_t i = 0; i < events->size(); ++i) {
     const std::string name = events->at(i).str("name", "");
     if (name == "flow.run") ++flow_runs;
     if (name == "global.u_point") ++u_points;
     if (name == "local.round") ++local_rounds;
+    if (name == "local.score") ++local_scores;
   }
   EXPECT_EQ(flow_runs, 1u);
   EXPECT_GT(u_points, 0u);   // one span per U-sweep point
   EXPECT_GT(local_rounds, 0u);
+  EXPECT_EQ(local_scores, local_rounds);  // each round scores its candidates
 }
 
 TEST(CliObsTest, UnwritableOutputPathIsAUsageError) {

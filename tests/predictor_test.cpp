@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <thread>
 
 #include "core/moves.h"
 #include "support/thread_pool.h"
@@ -242,6 +247,122 @@ TEST(MovePredictor, ScoreBatchBitIdenticalToPerMoveScores) {
     EXPECT_EQ(serial[i], scalar) << "serial move " << i;
     EXPECT_EQ(pooled[i], scalar) << "pooled move " << i;
   }
+}
+
+// FNV-1a over the raw bits of every score, in order. Any change to a
+// single low bit of any score changes the hash.
+std::uint64_t scoreHash(std::uint64_t h, std::span<const double> scores) {
+  for (const double s : scores) {
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(s);
+    for (int b = 0; b < 8; ++b) {
+      h ^= (bits >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+/// scoreBatch over every enumerated move of CLS1v1, CLS1v2 and CLS2v1 at
+/// test scale, folded into one hash.
+std::uint64_t paperCaseScoreHash(const DeltaLatencyModel* model) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  sta::Timer timer(sharedTech());
+  for (const char* name : {"CLS1v1", "CLS1v2", "CLS2v1"}) {
+    testgen::TestcaseOptions o;
+    o.sinks = 60;
+    const network::Design d = testgen::makeTestcase(sharedTech(), name, o);
+    const Objective objective(d, timer);
+    const MovePredictor predictor(d, timer, objective, model);
+    const std::vector<Move> moves = enumerateAllMoves(d);
+    std::vector<double> scores(moves.size());
+    predictor.scoreBatch(moves, scores);
+    h = scoreHash(h, scores);
+  }
+  return h;
+}
+
+// The scoring kernel is an optimization target; these pins prove a
+// rewrite reproduces the recorded scores bit for bit, which the
+// batch-vs-per-move comparisons (both sides run the same kernel) cannot.
+// A deliberate change to the scores must re-record them and say so.
+TEST(MovePredictor, ScoreHashPinnedAnalytic) {
+  EXPECT_EQ(paperCaseScoreHash(nullptr), 0xf03a34e724887353ull);
+}
+
+TEST(MovePredictor, ScoreHashPinnedHsm) {
+  DeltaLatencyModel model;
+  TrainOptions t;
+  t.cases = 10;
+  t.moves_per_case = 16;
+  t.mlp.epochs = 80;
+  t.seed = 23;
+  ASSERT_GT(model.train(sharedTech(), {0, 1, 2, 3}, t), 50u);
+  EXPECT_EQ(paperCaseScoreHash(&model), 0x5fe1f02eea6174a2ull);
+}
+
+/// Scores `moves` with a new predictor on a new thread, whose per-thread
+/// scoring scratch has never served another design.
+std::vector<double> freshScores(const network::Design& d,
+                                const sta::Timer& timer,
+                                const Objective& objective,
+                                const std::vector<Move>& moves) {
+  std::vector<double> out(moves.size());
+  std::thread([&] {
+    const MovePredictor predictor(d, timer, objective, nullptr);
+    predictor.scoreBatch(moves, out);
+  }).join();
+  return out;
+}
+
+TEST(MovePredictor, ScratchReuseAcrossDesignsMatchesFreshPredictor) {
+  // The same pool threads score a large design, a smaller one with a
+  // different corner count, and the large one again after a committed
+  // move: scratch left behind by an earlier design must never leak into a
+  // later score.
+  sta::Timer timer(sharedTech());
+  support::ThreadPool pool(4);
+  testgen::TestcaseOptions o;
+  o.sinks = 150;
+  network::Design large = testgen::makeTestcase(sharedTech(), "CLS1v1", o);
+  o.sinks = 40;
+  network::Design small = testgen::makeTestcase(sharedTech(), "CLS2v1", o);
+  small.corners = {0, 1, 2, 3};
+  ASSERT_NE(small.corners.size(), large.corners.size());
+  const Objective large_obj(large, timer);
+  const Objective small_obj(small, timer);
+
+  auto expectFresh = [&](const network::Design& d, const Objective& obj,
+                         const MovePredictor& predictor, const char* what) {
+    const std::vector<Move> moves = enumerateAllMoves(d);
+    ASSERT_FALSE(moves.empty()) << what;
+    std::vector<double> pooled(moves.size()), serial(moves.size());
+    predictor.scoreBatch(moves, pooled, &pool);
+    predictor.scoreBatch(moves, serial);
+    const std::vector<double> fresh = freshScores(d, timer, obj, moves);
+    for (std::size_t i = 0; i < moves.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(pooled[i]),
+                std::bit_cast<std::uint64_t>(fresh[i]))
+          << what << " pooled move " << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(serial[i]),
+                std::bit_cast<std::uint64_t>(fresh[i]))
+          << what << " serial move " << i;
+    }
+  };
+
+  MovePredictor large_pred(large, timer, large_obj, nullptr);
+  expectFresh(large, large_obj, large_pred, "large");
+  const MovePredictor small_pred(small, timer, small_obj, nullptr);
+  expectFresh(small, small_obj, small_pred, "small");
+
+  // Commit the best-predicted move, as a local round does, then refresh.
+  const std::vector<Move> moves = enumerateAllMoves(large);
+  std::vector<double> scores(moves.size());
+  large_pred.scoreBatch(moves, scores, &pool);
+  const std::size_t best = static_cast<std::size_t>(
+      std::min_element(scores.begin(), scores.end()) - scores.begin());
+  applyMove(large, moves[best]);
+  large_pred.refresh();
+  expectFresh(large, large_obj, large_pred, "large after commit");
 }
 
 TEST(GoldenDelta, TinyMoveTinyDelta) {

@@ -116,6 +116,33 @@ TEST(SingleTrunk, HandlesCoincidentYs) {
     EXPECT_GT(t.pathLength(i), 0.0);
 }
 
+void expectSameTree(const SteinerTree& a, const SteinerTree& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t n = 0; n < a.size(); ++n) {
+    EXPECT_EQ(a.nodes[n].x, b.nodes[n].x);
+    EXPECT_EQ(a.nodes[n].y, b.nodes[n].y);
+    EXPECT_EQ(a.parent[n], b.parent[n]);
+    EXPECT_EQ(a.extra[n], b.extra[n]);
+  }
+  EXPECT_EQ(a.pin_node, b.pin_node);
+}
+
+TEST(SteinerInto, ReusedTreeMatchesFreshBuild) {
+  // The into-forms rebuild a tree in place: what a larger (or smaller) net
+  // left in the tree must not leak into the next one.
+  geom::Rng rng(33);
+  SteinerTree greedy, trunk;
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<Point> pins(rng.index(trial % 2 == 0 ? 24 : 4));
+    for (Point& p : pins) p = rng.pointIn(geom::Rect{0, 0, 200, 200});
+    const Point drv = rng.pointIn(geom::Rect{0, 0, 200, 200});
+    greedySteinerInto(drv, pins, greedy);
+    singleTrunkInto(drv, pins, trunk);
+    expectSameTree(greedy, greedySteiner(drv, pins));
+    expectSameTree(trunk, singleTrunk(drv, pins));
+  }
+}
+
 TEST(EcoRoute, DeterministicForSamePlacement) {
   std::vector<Point> pins = {{10, 40}, {80, 20}, {35, 77}};
   const SteinerTree a = ecoRoute({5, 5}, pins);
