@@ -45,6 +45,12 @@ struct LocalObs {
   obs::Counter& predictor_misses = obs::MetricsRegistry::global().counter(
       "skewopt_local_predictor_misses_total",
       "Predictor-proposed trials that did not realize an improvement");
+  obs::Counter& score_reused = obs::MetricsRegistry::global().counter(
+      "skewopt_local_score_reused_total",
+      "Scored candidates that reused their memoized analysis");
+  obs::Counter& score_analyzed = obs::MetricsRegistry::global().counter(
+      "skewopt_local_score_analyzed_total",
+      "Scored candidates analyzed from scratch");
   obs::Histogram& golden_ms = obs::MetricsRegistry::global().histogram(
       "skewopt_local_golden_trial_ms", obs::defaultMsBuckets(),
       "Per-trial golden evaluation wall time");
@@ -162,6 +168,7 @@ LocalResult LocalOptimizer::run(Design& d, const Objective& objective,
   };
   std::vector<TrialEval> reports;  // slots reused across chunks and rounds
   std::vector<double> scores;      // scoreBatch output, reused across rounds
+  ScoreMemo memo;                  // candidate analyses, reused across rounds
 
   for (std::size_t round = 0; round < opts_.max_iterations; ++round) {
     obs::Span round_span("local.round");
@@ -181,10 +188,12 @@ LocalResult LocalOptimizer::run(Design& d, const Objective& objective,
     {
       obs::Span score_span("local.score");
       score_span.arg("candidates", static_cast<std::int64_t>(moves.size()));
+      std::size_t reused = 0;
       if (opts_.batch_scoring) {
         scores.resize(moves.size());
         predictor.scoreBatch(moves, scores,
-                             opts_.parallel_trials ? &pool : nullptr);
+                             opts_.parallel_trials ? &pool : nullptr, &memo);
+        reused = memo.reused();
         for (std::size_t i = 0; i < moves.size(); ++i)
           scored[i] = {scores[i], i};
       } else if (opts_.parallel_trials && moves.size() > 1) {
@@ -195,6 +204,11 @@ LocalResult LocalOptimizer::run(Design& d, const Objective& objective,
         for (std::size_t i = 0; i < moves.size(); ++i)
           scored[i] = {predictor.predictedVariationDelta(moves[i]), i};
       }
+      const std::size_t analyzed = moves.size() - reused;
+      score_span.arg("reused", static_cast<std::int64_t>(reused));
+      score_span.arg("analyzed", static_cast<std::int64_t>(analyzed));
+      lobs.score_reused.add(reused);
+      lobs.score_analyzed.add(analyzed);
     }
     std::sort(scored.begin(), scored.end());
 

@@ -32,10 +32,12 @@ struct LocalOptions {
   /// are bit-identical to the serial path.
   bool parallel_trials = true;
   /// Rank each round's candidates through MovePredictor::scoreBatch (one
-  /// call per round over the whole candidate table) instead of one
-  /// predictedVariationDelta call per move. Scores — and therefore the
+  /// call per round over the whole candidate table, with a ScoreMemo that
+  /// reuses each unchanged candidate's analysis across rounds) instead of
+  /// one predictedVariationDelta call per move. Scores — and therefore the
   /// accepted-move history — are identical either way (asserted by tests);
-  /// off exists as the differential baseline.
+  /// off, which analyzes every candidate every round, exists as the
+  /// differential baseline.
   bool batch_scoring = true;
   /// Trial-worker count; 0 = one per shared-pool thread. Setting this above
   /// the core count still interleaves real concurrency (the TSan test uses

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "obs/metrics.h"
 #include "rc/rc.h"
@@ -274,11 +275,8 @@ std::size_t MoveAnalyzer::analyzeInto(const Move& m,
   const std::size_t nk = d.corners.size();
   Scratch& s = threadScratch();
   if (slots.size() < 3) slots.resize(3);
-  auto group = [&](std::size_t i, int root, int exclude,
-                   bool primary) -> ImpactGroup& {
+  auto group = [&](std::size_t i, bool primary) -> ImpactGroup& {
     ImpactGroup& g = slots[i];
-    g.root = root;
-    g.exclude = exclude;
     g.primary = primary;
     g.delta.assign(nk, {});
     return g;
@@ -320,8 +318,8 @@ std::size_t MoveAnalyzer::analyzeInto(const Move& m,
                              : -1;
 
     const bool has_siblings = tree.node(p).children.size() > 1;
-    ImpactGroup& primary = group(0, b, -1, true);
-    ImpactGroup& sibling = group(1, p, b, false);
+    ImpactGroup& primary = group(0, true);
+    ImpactGroup& sibling = group(1, false);
 
     BatchDriverSpec& pd = s.drv[0];
     driverOf(pd, p);
@@ -431,9 +429,9 @@ std::size_t MoveAnalyzer::analyzeInto(const Move& m,
   const int p_old = tree.node(b).parent;
   const int p_new = m.new_parent;
 
-  ImpactGroup& moved = group(0, b, -1, true);
-  ImpactGroup& old_grp = group(1, p_old, b, false);
-  ImpactGroup& new_grp = group(2, p_new, -1, false);
+  ImpactGroup& moved = group(0, true);
+  ImpactGroup& old_grp = group(1, false);
+  ImpactGroup& new_grp = group(2, false);
 
   BatchDriverSpec& po_d = s.drv[0];
   BatchDriverSpec& pn_d = s.drv[1];
@@ -746,19 +744,20 @@ const DeltaLatencyModel::Holdout& DeltaLatencyModel::holdout(
 // MovePredictor
 // ---------------------------------------------------------------------------
 
-/// One thread's scoring working set: the analyzer's impact groups and the
-/// dense variation bookkeeping. A sink slot's delta is valid only while its
-/// stamp equals `epoch`, so bumping the epoch per move clears every slot in
-/// O(1), whatever design the storage last served. The affected-pair bitmap
-/// is cleared per move (one bit per pair) and read back in ascending pair
-/// index without a sort.
+/// One thread's scoring working set: the analyzer's impact groups, their
+/// kernel inputs, and the dense variation bookkeeping. A sink slot's delta
+/// is valid only while its stamp equals `epoch`, so bumping the epoch per
+/// move clears every slot in O(1), whatever design the storage last served.
+/// The affected-pair bitmap is cleared per move (one bit per pair) and read
+/// back in ascending pair index without a sort.
 struct MovePredictor::Scratch {
   std::vector<ImpactGroup> groups;
+  std::vector<double> values;             // [group * corners + ki]
   std::uint32_t epoch = 0;
   std::vector<std::uint32_t> sink_stamp;  // [slot]
   std::vector<double> sink_delta;         // [slot * corners + ki]
   std::vector<std::uint64_t> pair_bits;   // affected pairs, one bit each
-  std::vector<double> dval, skew;         // [ki]
+  std::vector<double> skew;               // [ki]
 
   /// Sizes the storage for a design and starts a move's fresh epoch.
   void startMove(std::size_t slots, std::size_t npairs, std::size_t nk) {
@@ -769,7 +768,6 @@ struct MovePredictor::Scratch {
       std::fill(sink_stamp.begin(), sink_stamp.end(), 0);
       epoch = 1;
     }
-    dval.resize(nk);
     skew.resize(nk);
   }
 };
@@ -892,22 +890,38 @@ std::vector<double> MovePredictor::predictedPrimaryDelta(
   return out;
 }
 
-double MovePredictor::variationDeltaFromGroups(
-    std::span<const ImpactGroup> groups, const Move& m, Scratch& s) const {
+void MovePredictor::groupValues(std::span<const ImpactGroup> groups,
+                                const Move& m, double* dval) const {
+  const std::size_t nk = design_->corners.size();
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    for (std::size_t ki = 0; ki < nk; ++ki) {
+      const std::size_t k = design_->corners[ki];
+      if (groups[g].primary && model_ != nullptr && model_->trainedFor(k))
+        dval[g * nk + ki] =
+            model_->predict(k, analyzer_.features(m, groups[g], ki));
+      else
+        dval[g * nk + ki] = groups[g].delta[ki][fallback_];
+    }
+  }
+}
+
+double MovePredictor::variationDelta(const Move& m, const double* dval,
+                                     Scratch& s) const {
+  const ClockTree& tree = design_->tree;
   const std::size_t nk = design_->corners.size();
   s.startMove(num_sink_slots_, design_->pairs.size(), nk);
   const std::uint32_t epoch = s.epoch;
 
   // Per-sink latency delta at each corner, accumulated in group order from
   // 0.0; every pair touching a shifted sink is marked affected.
-  auto shift = [&](std::uint32_t lo, std::uint32_t hi) {
+  auto shift = [&](const double* v, std::uint32_t lo, std::uint32_t hi) {
     for (std::uint32_t slot = lo; slot < hi; ++slot) {
       double* acc = &s.sink_delta[std::size_t{slot} * nk];
       if (s.sink_stamp[slot] != epoch) {
         s.sink_stamp[slot] = epoch;
         for (std::size_t ki = 0; ki < nk; ++ki) acc[ki] = 0.0;
       }
-      for (std::size_t ki = 0; ki < nk; ++ki) acc[ki] += s.dval[ki];
+      for (std::size_t ki = 0; ki < nk; ++ki) acc[ki] += v[ki];
       for (std::uint32_t j = slot_pairs_begin_[slot];
            j < slot_pairs_begin_[slot + 1]; ++j) {
         const std::uint32_t pi = slot_pairs_[j];
@@ -915,25 +929,27 @@ double MovePredictor::variationDeltaFromGroups(
       }
     }
   };
-  for (const ImpactGroup& g : groups) {
-    for (std::size_t ki = 0; ki < nk; ++ki) {
-      const std::size_t k = design_->corners[ki];
-      if (g.primary && model_ != nullptr && model_->trainedFor(k))
-        s.dval[ki] = model_->predict(k, analyzer_.features(m, g, ki));
-      else
-        s.dval[ki] = g.delta[ki][fallback_];
-    }
+  // The sinks of each group, in ImpactGroup order: {root, excluded subtree}.
+  const int b = m.node;
+  const int p = tree.node(b).parent;
+  const std::array<std::array<int, 2>, 3> groups{
+      {{b, -1}, {p, b}, {m.new_parent, -1}}};
+  const std::size_t ng = m.type == MoveType::kReassign        ? 3
+                         : tree.node(p).children.size() > 1 ? 2
+                                                             : 1;
+  for (std::size_t g = 0; g < ng; ++g) {
+    const auto [root, exclude] = groups[g];
     // The group's sinks: the root's slot range minus the excluded node's.
-    const std::uint32_t lo = sink_begin_[static_cast<std::size_t>(g.root)];
-    const std::uint32_t hi = sink_end_[static_cast<std::size_t>(g.root)];
+    const std::uint32_t lo = sink_begin_[static_cast<std::size_t>(root)];
+    const std::uint32_t hi = sink_end_[static_cast<std::size_t>(root)];
     std::uint32_t cut_lo = hi, cut_hi = hi;
-    if (g.exclude >= 0) {
-      cut_lo = std::max(lo, sink_begin_[static_cast<std::size_t>(g.exclude)]);
-      cut_hi = std::min(hi, sink_end_[static_cast<std::size_t>(g.exclude)]);
+    if (exclude >= 0) {
+      cut_lo = std::max(lo, sink_begin_[static_cast<std::size_t>(exclude)]);
+      cut_hi = std::min(hi, sink_end_[static_cast<std::size_t>(exclude)]);
       if (cut_lo >= cut_hi) cut_lo = cut_hi = hi;
     }
-    shift(lo, cut_lo);
-    shift(cut_hi, hi);
+    shift(dval + g * nk, lo, cut_lo);
+    shift(dval + g * nk, cut_hi, hi);
   }
 
   // Sum over the affected pairs in ascending pair index.
@@ -961,13 +977,296 @@ double MovePredictor::variationDeltaFromGroups(
 double MovePredictor::predictedVariationDelta(const Move& m) const {
   Scratch& s = threadScratch();
   const std::size_t n = analyzer_.analyzeInto(m, s.groups);
-  return variationDeltaFromGroups(
-      std::span<const ImpactGroup>(s.groups.data(), n), m, s);
+  s.values.resize(n * design_->corners.size());
+  groupValues(std::span<const ImpactGroup>(s.groups.data(), n), m,
+              s.values.data());
+  return variationDelta(m, s.values.data(), s);
+}
+
+// ---------------------------------------------------------------------------
+// ScoreMemo
+// ---------------------------------------------------------------------------
+
+struct ScoreMemo::State {
+  // What the memoized values depend on besides the read set.
+  const Design* design = nullptr;
+  const tech::TechModel* tech = nullptr;
+  const sta::Timer* timer = nullptr;
+  const DeltaLatencyModel* model = nullptr;
+  std::size_t fallback = 0;
+  std::vector<std::size_t> corners;
+  std::size_t nodes = 0;
+
+  std::uint32_t gen = 0;  // batch generation, 1 for the first batch
+
+  // Each node's read state as of the last batch, and the generation of the
+  // batch that last saw it change.
+  struct NodeState {
+    bool valid = false;
+    NodeKind kind = NodeKind::Buffer;
+    int cell = -1;
+    int parent = -1;
+    geom::Point pos;
+    std::size_t sinks = 0;
+    std::vector<int> children;
+  };
+  std::vector<NodeState> node;
+  std::vector<double> timing;  // [(node * corners + ki) * 3 + field]
+  std::vector<std::uint32_t> changed;  // [node]
+  // Read-set generations of this batch, computed once per node: as the
+  // moved node (itself, parent, siblings, children, grandchildren) and as
+  // a reassignment's new parent (itself, children).
+  std::vector<std::uint32_t> moved_gen, moved_stamp;
+  std::vector<std::uint32_t> target_gen, target_stamp;
+
+  // A memoized candidate. The moved node is implied by its block; the group
+  // roots follow from the move and the tree. Type III values hold three
+  // groups, types I/II two (the second unused without siblings).
+  struct Entry {
+    double dx = 0.0, dy = 0.0;
+    int other = -1;          // type II: the resized child; III: new parent
+    std::uint32_t gen = 0;   // batch whose design state the values are of
+    std::uint32_t off = 0;   // into the block's values
+    std::uint8_t type = 0;
+    int step = 0;
+  };
+  // A node's candidates in the order of the last batch, and their values.
+  struct Block {
+    std::vector<Entry> entries;
+    std::vector<double> values;
+  };
+  std::vector<Block> blocks;           // [node]
+  std::vector<std::uint32_t> count;    // [node] scratch, zero between batches
+  std::vector<int> touched;            // nodes with candidates, this batch
+  std::vector<int> prev_touched;       // ... and the last
+  std::vector<std::uint32_t> entry_of;  // [move] its entry in its block
+  std::size_t reused = 0;  // in the last batch
+
+  static Entry keyOf(const Move& m) {
+    Entry e;
+    e.dx = m.delta.x;
+    e.dy = m.delta.y;
+    e.other = m.type == MoveType::kChildDisplaceSize ? m.child
+              : m.type == MoveType::kReassign        ? m.new_parent
+                                                     : -1;
+    e.type = static_cast<std::uint8_t>(m.type);
+    e.step = m.size_step;
+    return e;
+  }
+  static bool sameKey(const Entry& a, const Entry& b) {
+    return a.type == b.type && a.step == b.step && a.other == b.other &&
+           std::bit_cast<std::uint64_t>(a.dx) ==
+               std::bit_cast<std::uint64_t>(b.dx) &&
+           std::bit_cast<std::uint64_t>(a.dy) ==
+               std::bit_cast<std::uint64_t>(b.dy);
+  }
+  std::size_t stride(const Entry& e) const {
+    return (e.type == static_cast<std::uint8_t>(MoveType::kReassign) ? 3 : 2) *
+           corners.size();
+  }
+};
+
+ScoreMemo::ScoreMemo() : s_(std::make_unique<State>()) {}
+ScoreMemo::~ScoreMemo() = default;
+std::size_t ScoreMemo::reused() const { return s_->reused; }
+
+std::size_t ScoreMemo::bytes() const {
+  const State& st = *s_;
+  auto heap = [](const auto& v) { return v.capacity() * sizeof(*v.data()); };
+  std::size_t n = sizeof(State) + heap(st.corners) + heap(st.node) +
+                  heap(st.timing) + heap(st.changed) + heap(st.moved_gen) +
+                  heap(st.moved_stamp) + heap(st.target_gen) +
+                  heap(st.target_stamp) + heap(st.blocks) + heap(st.count) +
+                  heap(st.touched) + heap(st.prev_touched) +
+                  heap(st.entry_of);
+  for (const State::NodeState& ns : st.node) n += heap(ns.children);
+  for (const State::Block& b : st.blocks)
+    n += heap(b.entries) + heap(b.values);
+  return n;
+}
+
+void MovePredictor::prepareMemo(std::span<const Move> moves,
+                                ScoreMemo::State& st) const {
+  using State = ScoreMemo::State;
+  const Design& d = *design_;
+  const ClockTree& tree = d.tree;
+  const std::size_t nk = d.corners.size();
+  const std::size_t nn = tree.numNodes();
+  if (st.design != design_ || st.tech != d.tech || st.timer != timer_ ||
+      st.model != model_ || st.fallback != fallback_ ||
+      st.corners != d.corners || st.nodes != nn ||
+      st.gen == ~std::uint32_t{0}) {
+    st = State{};
+    st.design = design_;
+    st.tech = d.tech;
+    st.timer = timer_;
+    st.model = model_;
+    st.fallback = fallback_;
+    st.corners = d.corners;
+    st.nodes = nn;
+    st.node.resize(nn);
+    st.timing.resize(nn * nk * 3);
+    st.changed.assign(nn, 0);
+    st.moved_gen.assign(nn, 0);
+    st.moved_stamp.assign(nn, 0);
+    st.target_gen.assign(nn, 0);
+    st.target_stamp.assign(nn, 0);
+    st.blocks.resize(nn);
+    st.count.assign(nn, 0);
+  }
+  const std::uint32_t gen = ++st.gen;
+
+  // Diff every node's read state against the snapshot; a node that differs
+  // takes this generation.
+  const std::vector<sta::CornerTiming>& timing = analyzer_.baseline();
+  const std::vector<std::size_t>& sinks = analyzer_.subtreeSinkCounts();
+  auto same = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  for (std::size_t v = 0; v < nn; ++v) {
+    State::NodeState& ns = st.node[v];
+    if (!tree.isValid(static_cast<int>(v))) {  // removed: no state to read
+      if (gen == 1 || ns.valid) st.changed[v] = gen;
+      ns = State::NodeState{};
+      continue;
+    }
+    const ClockNode& n = tree.node(static_cast<int>(v));
+    bool changed = gen == 1 || !ns.valid || ns.kind != n.kind ||
+                   ns.cell != n.cell || ns.parent != n.parent ||
+                   !same(ns.pos.x, n.pos.x) || !same(ns.pos.y, n.pos.y) ||
+                   ns.sinks != sinks[v] || ns.children != n.children;
+    if (changed) {
+      ns.valid = true;
+      ns.kind = n.kind;
+      ns.cell = n.cell;
+      ns.parent = n.parent;
+      ns.pos = n.pos;
+      ns.sinks = sinks[v];
+      ns.children = n.children;
+    }
+    double* snap = &st.timing[v * nk * 3];
+    for (std::size_t ki = 0; ki < nk; ++ki) {
+      const double cur[3] = {timing[ki].in_slew[v], timing[ki].driver_load[v],
+                             timing[ki].in_arrival[v]};
+      for (std::size_t f = 0; f < 3; ++f) {
+        if (!same(snap[ki * 3 + f], cur[f])) {
+          snap[ki * 3 + f] = cur[f];
+          changed = true;
+        }
+      }
+    }
+    if (changed) st.changed[v] = gen;
+  }
+
+  auto latest = [&](std::uint32_t g, int v) {
+    return std::max(g, st.changed[static_cast<std::size_t>(v)]);
+  };
+  auto movedGen = [&](int b) {
+    const ClockNode& n = tree.node(b);
+    const std::size_t bi = static_cast<std::size_t>(b);
+    if (st.moved_stamp[bi] == gen) return st.moved_gen[bi];
+    std::uint32_t g = latest(0, b);
+    if (n.parent >= 0) {
+      g = latest(g, n.parent);
+      for (const int c : tree.node(n.parent).children) g = latest(g, c);
+    }
+    for (const int c : n.children) {
+      g = latest(g, c);
+      for (const int gc : tree.node(c).children) g = latest(g, gc);
+    }
+    st.moved_stamp[bi] = gen;
+    return st.moved_gen[bi] = g;
+  };
+  auto targetGen = [&](int q) {
+    const ClockNode& n = tree.node(q);
+    const std::size_t qi = static_cast<std::size_t>(q);
+    if (st.target_stamp[qi] == gen) return st.target_gen[qi];
+    std::uint32_t g = latest(0, q);
+    for (const int c : n.children) g = latest(g, c);
+    st.target_stamp[qi] = gen;
+    return st.target_gen[qi] = g;
+  };
+
+  // Size each node's block to its candidate count: a node's j-th candidate
+  // is matched with the j-th entry of its block.
+  st.prev_touched.swap(st.touched);
+  st.touched.clear();
+  for (const Move& m : moves) {
+    if (!tree.isValid(m.node) ||
+        (m.type == MoveType::kReassign && !tree.isValid(m.new_parent))) {
+      st = State{};  // leave no half-counted batch behind
+      throw std::out_of_range("ScoreMemo: move " + std::to_string(m.node) +
+                              " names an invalid node");
+    }
+    if (st.count[static_cast<std::size_t>(m.node)]++ == 0)
+      st.touched.push_back(m.node);
+  }
+  for (const int v : st.prev_touched)
+    if (st.count[static_cast<std::size_t>(v)] == 0)
+      st.blocks[static_cast<std::size_t>(v)] = State::Block{};
+  for (const int v : st.touched)
+    st.blocks[static_cast<std::size_t>(v)].entries.resize(
+        st.count[static_cast<std::size_t>(v)]);
+  // Walking the moves backwards, a node's count steps down through its
+  // candidates' positions and ends at zero, ready for the next batch. An
+  // equal key with an unchanged read set reuses the entry; anything else
+  // (including a new, zero-generation entry) is recomputed.
+  st.entry_of.resize(moves.size());
+  for (std::size_t i = moves.size(); i-- > 0;) {
+    const Move& m = moves[i];
+    const std::uint32_t j = --st.count[static_cast<std::size_t>(m.node)];
+    State::Entry& e = st.blocks[static_cast<std::size_t>(m.node)].entries[j];
+    std::uint32_t read_gen = movedGen(m.node);
+    if (m.type == MoveType::kReassign)
+      read_gen = std::max(read_gen, targetGen(m.new_parent));
+    const State::Entry key = State::keyOf(m);
+    if (!State::sameKey(e, key) || read_gen > e.gen) {
+      e = key;
+      e.gen = gen;
+    }
+    st.entry_of[i] = j;
+  }
+
+  // Lay each touched block's values out in entry order. Reused values
+  // keep their place unless an earlier entry changed its stride.
+  st.reused = 0;
+  for (const int v : st.touched) {
+    State::Block& blk = st.blocks[static_cast<std::size_t>(v)];
+    std::size_t total = 0;
+    bool shifted = false;
+    for (const State::Entry& e : blk.entries) {
+      if (e.gen != gen) {
+        ++st.reused;
+        shifted = shifted || e.off != total;
+      }
+      total += st.stride(e);
+    }
+    if (shifted) {
+      std::vector<double> values(total);
+      std::size_t off = 0;
+      for (const State::Entry& e : blk.entries) {
+        if (e.gen != gen)
+          std::copy_n(blk.values.begin() + static_cast<std::ptrdiff_t>(e.off),
+                      st.stride(e),
+                      values.begin() + static_cast<std::ptrdiff_t>(off));
+        off += st.stride(e);
+      }
+      blk.values.swap(values);
+    } else {
+      blk.values.resize(total);
+    }
+    std::size_t off = 0;
+    for (State::Entry& e : blk.entries) {
+      e.off = static_cast<std::uint32_t>(off);
+      off += st.stride(e);
+    }
+  }
 }
 
 void MovePredictor::scoreBatch(std::span<const Move> moves,
                                std::span<double> out,
-                               support::ThreadPool* pool) const {
+                               support::ThreadPool* pool,
+                               ScoreMemo* memo) const {
   // Driven only by the candidate count — deterministic for a given
   // optimization, so serial and parallel snapshots stay identical. A round
   // scores 10^4-10^5 candidates, hence bounds up to 2^16.
@@ -977,13 +1276,35 @@ void MovePredictor::scoreBatch(std::span<const Move> moves,
        2048.0, 4096.0, 8192.0, 16384.0, 32768.0, 65536.0},
       "Candidate moves scored per MovePredictor::scoreBatch call");
   sizes.observe(static_cast<double>(moves.size()));
-  if (pool != nullptr && moves.size() > 1) {
-    pool->parallelFor(moves.size(), [&](std::size_t i) {
-      out[i] = predictedVariationDelta(moves[i]);
-    });
-  } else {
-    for (std::size_t i = 0; i < moves.size(); ++i)
-      out[i] = predictedVariationDelta(moves[i]);
+  ScoreMemo::State* st = memo != nullptr ? memo->s_.get() : nullptr;
+  if (st != nullptr) prepareMemo(moves, *st);
+  // With a memo, each index reads or writes only its own entry's values.
+  auto score = [&](std::size_t i) {
+    const Move& m = moves[i];
+    if (st == nullptr) {
+      out[i] = predictedVariationDelta(m);
+      return;
+    }
+    ScoreMemo::State::Block& blk = st->blocks[static_cast<std::size_t>(m.node)];
+    const ScoreMemo::State::Entry& e = blk.entries[st->entry_of[i]];
+    double* dval = blk.values.data() + e.off;
+    Scratch& s = threadScratch();
+    if (e.gen == st->gen) {
+      const std::size_t n = analyzer_.analyzeInto(m, s.groups);
+      groupValues(std::span<const ImpactGroup>(s.groups.data(), n), m, dval);
+    }
+    out[i] = variationDelta(m, dval, s);
+  };
+  try {
+    if (pool != nullptr && moves.size() > 1) {
+      pool->parallelFor(moves.size(), score);
+    } else {
+      for (std::size_t i = 0; i < moves.size(); ++i) score(i);
+    }
+  } catch (...) {
+    // Entries of this batch may be marked computed without their values.
+    if (st != nullptr) *st = ScoreMemo::State{};
+    throw;
   }
 }
 

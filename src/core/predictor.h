@@ -45,10 +45,11 @@ const char* analyticName(std::size_t idx);
 inline constexpr std::size_t kNumFeatures = kNumAnalytic + 3;
 
 /// One group of sinks shifted together by a move, with its per-corner,
-/// per-estimator analytical delta-latency.
+/// per-estimator analytical delta-latency. A move's groups come in a fixed
+/// order: the moved node's sinks (primary); its old parent's sinks minus
+/// the moved node's (types I/II only when the parent has other children);
+/// for type III, the new parent's sinks.
 struct ImpactGroup {
-  int root = -1;       ///< sinks under this node move together...
-  int exclude = -1;    ///< ...except sinks under this node (-1: none)
   bool primary = false;  ///< the group the ML model corrects
   /// delta[cornerIdx][estimator], ps.
   std::vector<std::array<double, kNumAnalytic>> delta;
@@ -88,6 +89,10 @@ class MoveAnalyzer {
 
   const std::vector<sta::CornerTiming>& baseline() const { return timing_; }
   const network::Design& design() const { return *design_; }
+  /// Sinks under each node id, as of the last refresh (the fanout weights).
+  const std::vector<std::size_t>& subtreeSinkCounts() const {
+    return subtree_sink_count_;
+  }
 
  private:
   void refreshSinkCounts();
@@ -183,6 +188,41 @@ std::vector<double> goldenDelta(const network::Design& d,
 
 // ---------------------------------------------------------------------------
 
+/// Cross-round memo for MovePredictor::scoreBatch. For each candidate it
+/// keeps the per-group, per-corner latency shifts the variation kernel
+/// consumes: the ML-corrected value of the primary group and the analytic
+/// fallback of the others. A later batch reuses them, skipping analysis,
+/// features and model inference, while the candidate's read set is bitwise
+/// unchanged. The read set is what analyzeInto/features read: the moved
+/// node, its parent and the parent's children, its children and
+/// grandchildren, and for a reassignment the new parent and its children.
+/// Per node the read state is kind, position, cell, parent, children,
+/// subtree sink count, and per corner input slew, driver load and input
+/// arrival. Each batch diffs that state for every node against a snapshot,
+/// so the memo needs no dirty set from the caller. The variation kernel
+/// runs for every candidate against the current base, so memoized scores
+/// are bit-identical to cold ones. The memo resets itself when the design,
+/// corners, timer, model, fallback or node count change. One owner; the
+/// memo itself is not thread-safe.
+class ScoreMemo {
+ public:
+  ScoreMemo();
+  ~ScoreMemo();
+  ScoreMemo(const ScoreMemo&) = delete;
+  ScoreMemo& operator=(const ScoreMemo&) = delete;
+
+  /// Candidates of the last batch that reused their memoized values; the
+  /// rest were analyzed from scratch.
+  std::size_t reused() const;
+  /// Heap bytes the memo holds.
+  std::size_t bytes() const;
+
+ private:
+  friend class MovePredictor;
+  struct State;
+  std::unique_ptr<State> s_;
+};
+
 /// Combines analyzer + model + objective into move scoring.
 class MovePredictor {
  public:
@@ -212,10 +252,13 @@ class MovePredictor {
   /// out[i] = predictedVariationDelta(moves[i]). With a pool the moves are
   /// scored on its threads (scoring is const; each thread works in its own
   /// reused scratch); results are identical either way. `out` must have
-  /// `moves.size()` slots. Also feeds the skewopt_local_score_batch_size
-  /// histogram.
+  /// `moves.size()` slots. With a `memo`, candidates whose read set did not
+  /// change since the memo last scored them reuse their group values; the
+  /// scores are bit-identical to a call without one. Also feeds the
+  /// skewopt_local_score_batch_size histogram.
   void scoreBatch(std::span<const Move> moves, std::span<double> out,
-                  support::ThreadPool* pool = nullptr) const;
+                  support::ThreadPool* pool = nullptr,
+                  ScoreMemo* memo = nullptr) const;
 
   const MoveAnalyzer& analyzer() const { return analyzer_; }
 
@@ -223,8 +266,15 @@ class MovePredictor {
   struct Scratch;
   static Scratch& threadScratch();
   void rebuildBase();
-  double variationDeltaFromGroups(std::span<const ImpactGroup> groups,
-                                  const Move& m, Scratch& s) const;
+  /// The kernel's per-group inputs, dval[group * corners + ki]: the model
+  /// value for the primary group where trained, else the fallback estimate.
+  void groupValues(std::span<const ImpactGroup> groups, const Move& m,
+                   double* dval) const;
+  /// Predicted variation change of `m` given its group values.
+  double variationDelta(const Move& m, const double* dval, Scratch& s) const;
+  /// Matches `memo` to this predictor and the current design state, and
+  /// maps every move to its memo slot (serial).
+  void prepareMemo(std::span<const Move> moves, ScoreMemo::State& st) const;
 
   const network::Design* design_;
   const sta::Timer* timer_;

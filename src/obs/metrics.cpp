@@ -82,7 +82,8 @@ void Histogram::reset() {
 }
 
 std::vector<double> defaultMsBuckets() {
-  return {0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0};
+  return {0.01,  0.05,   0.1,    0.5,     1.0,    5.0,   10.0,  50.0,
+          100.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0, 30000.0, 60000.0};
 }
 
 const char* metricKindName(MetricKind k) {

@@ -106,7 +106,9 @@ class Histogram {
   std::atomic<double> sum_{0.0};
 };
 
-/// Default bucket bounds for millisecond-valued latency histograms.
+/// Default bucket bounds for millisecond-valued latency histograms:
+/// 10 us to 60 s, so multi-second stage, LP-solve and job samples land in a
+/// finite bucket rather than +Inf.
 std::vector<double> defaultMsBuckets();
 
 enum class MetricKind { kCounter, kGauge, kHistogram };

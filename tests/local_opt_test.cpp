@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/moves.h"
+#include "obs/metrics.h"
 #include "sta/incremental.h"
 #include "testgen/testgen.h"
 
@@ -225,16 +226,25 @@ TEST_F(LocalOptTest, ScopedRetimeRollbackBitIdentical) {
 }
 
 TEST_F(LocalOptTest, BatchScoringIdenticalHistoryToPerMove) {
-  // scoreBatch is a pure layout change: with batch scoring on vs off the
-  // optimizer must rank, trial, and commit exactly the same moves.
+  // Batch scoring reuses each unchanged candidate's analysis across rounds
+  // (ScoreMemo); the per-move path analyzes everything every round. With
+  // batch scoring on vs off the optimizer must rank, trial, and commit
+  // exactly the same moves, and the memo must actually have been used.
   network::Design batched = makeDesign(70, 13);
   network::Design per_move = batched;
   const Objective objective(batched, timer_);
   LocalOptions o;
-  o.max_iterations = 4;
+  o.max_iterations = 6;
   o.batch_scoring = true;
+  const obs::Counter& reused = obs::MetricsRegistry::global().counter(
+      "skewopt_local_score_reused_total");
+  const std::uint64_t reused_before = reused.value();
+  obs::setMetricsEnabled(true);
   const LocalResult rb =
       LocalOptimizer(sharedTech(), o).run(batched, objective, nullptr);
+  obs::setMetricsEnabled(false);
+  EXPECT_GE(rb.history.size(), 2u);  // enough rounds for reuse to matter
+  EXPECT_GT(reused.value(), reused_before);
   o.batch_scoring = false;
   const LocalResult rm =
       LocalOptimizer(sharedTech(), o).run(per_move, objective, nullptr);

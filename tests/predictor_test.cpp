@@ -7,9 +7,12 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "core/moves.h"
+#include "sta/incremental.h"
 #include "support/thread_pool.h"
 #include "testgen/testgen.h"
 
@@ -363,6 +366,154 @@ TEST(MovePredictor, ScratchReuseAcrossDesignsMatchesFreshPredictor) {
   applyMove(large, moves[best]);
   large_pred.refresh();
   expectFresh(large, large_obj, large_pred, "large after commit");
+}
+
+/// Cold scores of `moves` from a brand-new predictor (full analysis of `d`).
+std::vector<double> coldScores(const network::Design& d,
+                               const sta::Timer& timer,
+                               const Objective& objective,
+                               const DeltaLatencyModel* model,
+                               const std::vector<Move>& moves) {
+  const MovePredictor fresh(d, timer, objective, model);
+  std::vector<double> out(moves.size());
+  fresh.scoreBatch(moves, out);
+  return out;
+}
+
+void expectBitsEqual(const std::vector<double>& got,
+                     const std::vector<double>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << what << " move " << i;
+}
+
+TEST(ScoreMemo, MemoMatchesColdScoringAcrossRounds) {
+  // Local rounds as the optimizer runs them: score with the memo, commit
+  // one move (the best-predicted, or in round 2 the best type-III move),
+  // update the incremental timing, refresh. Every round's memoized scores
+  // must equal a fresh predictor's cold ones bit for bit, and from round 1
+  // on some candidates must have reused their values.
+  DeltaLatencyModel hsm;
+  TrainOptions t;
+  t.cases = 10;
+  t.moves_per_case = 16;
+  t.mlp.epochs = 80;
+  t.seed = 23;
+  ASSERT_GT(hsm.train(sharedTech(), {0, 1, 2, 3}, t), 50u);
+  sta::Timer timer(sharedTech());
+  support::ThreadPool pool(4);
+  const DeltaLatencyModel* const models[] = {nullptr, &hsm};
+  for (const DeltaLatencyModel* model : models) {
+    for (const char* name : {"CLS1v1", "CLS1v2", "CLS2v1"}) {
+      const std::string tag =
+          std::string(name) + (model != nullptr ? " hsm" : " analytic");
+      testgen::TestcaseOptions o;
+      o.sinks = 60;
+      network::Design d = testgen::makeTestcase(sharedTech(), name, o);
+      const Objective objective(d, timer);
+      sta::IncrementalTimer timing(sharedTech(), d);
+      MovePredictor predictor(d, timer, objective, model, 0,
+                              &timing.timings());
+      ScoreMemo memo;
+      bool reassigned = false;
+      for (std::size_t round = 0; round < 6; ++round) {
+        const std::string what = tag + " round " + std::to_string(round);
+        if (round > 0) predictor.refresh(timing.timings());
+        const std::vector<Move> moves = enumerateAllMoves(d);
+        ASSERT_FALSE(moves.empty()) << what;
+        std::vector<double> scores(moves.size());
+        // Odd rounds score serially, even rounds on the pool.
+        predictor.scoreBatch(moves, scores, round % 2 == 0 ? &pool : nullptr,
+                             &memo);
+        expectBitsEqual(scores,
+                        coldScores(d, timer, objective, model, moves), what);
+        if (round == 0)
+          EXPECT_EQ(memo.reused(), 0u) << what;
+        else
+          EXPECT_GT(memo.reused(), 0u) << what;
+
+        std::size_t pick = moves.size();
+        for (std::size_t i = 0; i < moves.size(); ++i) {
+          if (round == 2 && moves[i].type != MoveType::kReassign) continue;
+          if (pick == moves.size() || scores[i] < scores[pick]) pick = i;
+        }
+        ASSERT_LT(pick, moves.size()) << what << ": no type-III candidate";
+        reassigned = reassigned || moves[pick].type == MoveType::kReassign;
+        timing.update(d, applyMoveTracked(d, moves[pick]));
+      }
+      EXPECT_TRUE(reassigned) << tag;
+    }
+  }
+}
+
+TEST(ScoreMemo, ResetsForAnotherDesignOrModel) {
+  // A memo that scored one design must not serve another design's
+  // candidates, nor the same design under another model: the first batch
+  // after either switch analyzes everything and still matches cold scores.
+  sta::Timer timer(sharedTech());
+  testgen::TestcaseOptions o;
+  o.sinks = 60;
+  const network::Design a = testgen::makeTestcase(sharedTech(), "CLS1v1", o);
+  const network::Design b = testgen::makeTestcase(sharedTech(), "CLS1v2", o);
+  const Objective obj_a(a, timer);
+  const Objective obj_b(b, timer);
+  const std::vector<Move> moves_a = enumerateAllMoves(a);
+  const std::vector<Move> moves_b = enumerateAllMoves(b);
+  std::vector<double> scores_a(moves_a.size()), scores_b(moves_b.size());
+  ScoreMemo memo;
+
+  const MovePredictor pred_a(a, timer, obj_a, nullptr);
+  pred_a.scoreBatch(moves_a, scores_a, nullptr, &memo);
+  pred_a.scoreBatch(moves_a, scores_a, nullptr, &memo);
+  EXPECT_EQ(memo.reused(), moves_a.size());  // nothing changed
+  EXPECT_GT(memo.bytes(), 0u);
+
+  const MovePredictor pred_b(b, timer, obj_b, nullptr);
+  pred_b.scoreBatch(moves_b, scores_b, nullptr, &memo);
+  EXPECT_EQ(memo.reused(), 0u);
+  expectBitsEqual(scores_b, coldScores(b, timer, obj_b, nullptr, moves_b),
+                  "other design");
+
+  const MovePredictor pred_b3(b, timer, obj_b, nullptr, 3);
+  pred_b3.scoreBatch(moves_b, scores_b, nullptr, &memo);
+  EXPECT_EQ(memo.reused(), 0u);
+  std::vector<double> cold(moves_b.size());
+  pred_b3.scoreBatch(moves_b, cold);
+  expectBitsEqual(scores_b, cold, "other fallback");
+}
+
+TEST(ScoreMemo, FailedBatchLeavesNoStaleEntries) {
+  // A batch that throws, on an invalid node or inside the analysis (a
+  // move of the source, which has no parent), must not leave entries
+  // marked computed: the next batch analyzes everything again.
+  sta::Timer timer(sharedTech());
+  testgen::TestcaseOptions o;
+  o.sinks = 60;
+  const network::Design d = testgen::makeTestcase(sharedTech(), "CLS1v1", o);
+  const Objective objective(d, timer);
+  const MovePredictor predictor(d, timer, objective, nullptr);
+  const std::vector<Move> moves = enumerateAllMoves(d);
+  std::vector<double> scores(moves.size() + 1);
+  ScoreMemo memo;
+  predictor.scoreBatch(moves, std::span<double>(scores).first(moves.size()),
+                       nullptr, &memo);
+  for (const int bad_node : {static_cast<int>(d.tree.numNodes()), 0}) {
+    std::vector<Move> batch = moves;
+    Move bad;
+    bad.node = bad_node;
+    bad.delta = {10.0, 0.0};
+    batch.push_back(bad);
+    EXPECT_THROW(predictor.scoreBatch(batch, scores, nullptr, &memo),
+                 std::out_of_range)
+        << "node " << bad_node;
+    std::vector<double> again(moves.size());
+    predictor.scoreBatch(moves, again, nullptr, &memo);
+    EXPECT_EQ(memo.reused(), 0u) << "node " << bad_node;
+    expectBitsEqual(again, coldScores(d, timer, objective, nullptr, moves),
+                    "after failed batch");
+  }
 }
 
 TEST(GoldenDelta, TinyMoveTinyDelta) {
